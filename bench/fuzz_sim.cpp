@@ -17,17 +17,17 @@
 // trace of the fast-forward engine run for inspection.
 //
 // --cluster --faults additionally injects a seed-deterministic fault plan:
-// link degradation and DRAM stall windows on the cluster run (all four
-// engine/scheduler combinations must still agree bit for bit), a
-// regenerate-and-compare check on the fault timeline itself, and a serving
-// phase with chip fail-stop/fail-recover faults where the full
-// ServingReport (retries, failovers, shedding, every request's timing) is
-// diffed across the same four flavours.
+// link degradation and DRAM stall windows on the cluster run (both
+// scheduler modes must still agree bit for bit), a regenerate-and-compare
+// check on the fault timeline itself, and a serving phase with chip
+// fail-stop/fail-recover faults where the full ServingReport (retries,
+// failovers, shedding, every request's timing) is diffed across the same
+// two modes.
 //
 //   ./build/bench/fuzz_sim --seeds=25            # CI smoke
 //   ./build/bench/fuzz_sim --seeds=500 --start-seed=1000
 //   ./build/bench/fuzz_sim --seed=42 --trace-out=fuzz_42.json
-//   ./build/bench/fuzz_sim --cluster --parallel --faults --seeds=25
+//   ./build/bench/fuzz_sim --cluster --faults --seeds=25
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -339,18 +339,14 @@ void print_failure(std::uint64_t seed, const char* phase,
 /// Differential fuzz of the multi-chip cluster engine: random shard counts,
 /// topologies and link parameters; lockstep vs fast-forward must agree on
 /// every per-chip RunMetrics field, the cluster clock, and every cluster
-/// counter, with the cluster invariant checker attached throughout. With
-/// `parallel`, additionally runs the conservative parallel engine (random
-/// worker count) in both scheduler modes and bit-diffs it against the
-/// serial engine — the tentpole guarantee of the parallel simulator.
+/// counter, with the cluster invariant checker attached throughout.
 ///
 /// With `faults`, a seed-deterministic fault plan (link degradation + DRAM
 /// stall windows) rides along on every cluster run, the plan's timeline is
 /// checked to regenerate identically, and a serving phase with chip
-/// fail-stop faults diffs the full ServingReport across the same
-/// engine/scheduler combinations.
-bool run_cluster_seed(std::uint64_t seed, bool verbose, bool parallel,
-                      bool faults) {
+/// fail-stop faults diffs the full ServingReport across both scheduler
+/// modes.
+bool run_cluster_seed(std::uint64_t seed, bool verbose, bool faults) {
   try {
     Rng rng(seed * 0xD1B54A32D192ED03ull + 5);
     core::AuroraConfig chip = random_chip(rng);
@@ -376,10 +372,9 @@ bool run_cluster_seed(std::uint64_t seed, bool verbose, bool parallel,
     const auto fail = [&](const char* phase,
                           const std::vector<std::string>& diffs) {
       print_failure(seed, phase, diffs);
-      std::printf(
-          "replay: ./build/bench/fuzz_sim --cluster%s%s --seed=%llu\n",
-          parallel ? " --parallel" : "", faults ? " --faults" : "",
-          static_cast<unsigned long long>(seed));
+      std::printf("replay: ./build/bench/fuzz_sim --cluster%s --seed=%llu\n",
+                  faults ? " --faults" : "",
+                  static_cast<unsigned long long>(seed));
       return false;
     };
 
@@ -424,37 +419,22 @@ bool run_cluster_seed(std::uint64_t seed, bool verbose, bool parallel,
           gnn::model_name(model), ds.num_vertices());
     }
 
-    const unsigned jobs = 1 + static_cast<unsigned>(rng.next_below(4));
-    const auto run = [&](bool fast_forward, bool parallel_engine) {
+    // Unused draw, kept so that the serving case drawn below stays the same
+    // for every seed and old replay lines still reproduce.
+    (void)rng.next_below(4);
+    const auto run = [&](bool fast_forward) {
       core::AuroraConfig cfg = chip;
       cfg.fast_forward = fast_forward;
       cluster::ClusterParams p = params;
-      p.parallel = parallel_engine;
-      p.parallel_jobs = parallel_engine ? jobs : 0;
       p.fault_plan = plan;
       cluster::ClusterEngine engine(cfg, p);
       return engine.run(ds, job);
     };
 
-    const cluster::ClusterRunMetrics lock = run(false, false);
-    const cluster::ClusterRunMetrics fast = run(true, false);
+    const cluster::ClusterRunMetrics lock = run(false);
+    const cluster::ClusterRunMetrics fast = run(true);
     const auto diffs = cluster::diff_cluster_run_metrics(lock, fast);
     if (!diffs.empty()) return fail("cluster", diffs);
-
-    if (parallel) {
-      const cluster::ClusterRunMetrics par_lock = run(false, true);
-      const auto lock_diffs =
-          cluster::diff_cluster_run_metrics(lock, par_lock);
-      if (!lock_diffs.empty()) {
-        return fail("cluster-parallel-lockstep", lock_diffs);
-      }
-      const cluster::ClusterRunMetrics par_fast = run(true, true);
-      const auto fast_diffs =
-          cluster::diff_cluster_run_metrics(fast, par_fast);
-      if (!fast_diffs.empty()) {
-        return fail("cluster-parallel-fast-forward", fast_diffs);
-      }
-    }
 
     if (faults) {
       // Serving phase: chip fail-stop/fail-recover faults drive the retry/
@@ -489,17 +469,15 @@ bool run_cluster_seed(std::uint64_t seed, bool verbose, bool parallel,
               ? 0.0
               : 5'000.0 + static_cast<double>(rng.next_below(100'000));
       const std::vector<serving::ModelMixEntry> mix = {{job, "fuzz", 1.0, 0}};
-      const auto serve = [&](bool fast_forward, bool parallel_engine) {
+      const auto serve = [&](bool fast_forward) {
         core::AuroraConfig cfg = chip;
         cfg.fast_forward = fast_forward;
         cluster::ClusterParams p = params;
-        p.parallel = parallel_engine;
-        p.parallel_jobs = parallel_engine ? jobs : 0;
         p.fault_plan = plan;
         serving::ServingEngine engine(cfg, p, sp);
         return engine.run(ds, mix);
       };
-      const serving::ServingReport base = serve(false, false);
+      const serving::ServingReport base = serve(false);
       const bool conserved =
           base.admitted + base.shed == base.generated &&
           base.admitted == base.served.size() + base.shed_expired +
@@ -514,19 +492,9 @@ bool run_cluster_seed(std::uint64_t seed, bool verbose, bool parallel,
                      " failed_permanently " +
                      std::to_string(base.failed_permanently)});
       }
-      const serving::ServingReport ff = serve(true, false);
+      const serving::ServingReport ff = serve(true);
       const auto ff_diffs = serving::diff_serving_reports(base, ff);
       if (!ff_diffs.empty()) return fail("serving-fast-forward", ff_diffs);
-      if (parallel) {
-        const serving::ServingReport par_lock = serve(false, true);
-        const auto pl_diffs = serving::diff_serving_reports(base, par_lock);
-        if (!pl_diffs.empty()) return fail("serving-parallel", pl_diffs);
-        const serving::ServingReport par_fast = serve(true, true);
-        const auto pf_diffs = serving::diff_serving_reports(ff, par_fast);
-        if (!pf_diffs.empty()) {
-          return fail("serving-parallel-fast-forward", pf_diffs);
-        }
-      }
       if (verbose) {
         std::printf(
             "seed %llu serving: %zu/%llu completed, %llu failed attempt(s), "
@@ -542,18 +510,16 @@ bool run_cluster_seed(std::uint64_t seed, bool verbose, bool parallel,
 
     if (verbose) {
       std::printf("seed %llu OK: %llu cluster cycles, %llu halo bytes, "
-                  "%s bit-identical\n",
+                  "both modes bit-identical\n",
                   static_cast<unsigned long long>(seed),
                   static_cast<unsigned long long>(lock.total_cycles),
-                  static_cast<unsigned long long>(lock.link.bytes_delivered),
-                  parallel ? "all four engine/scheduler combinations"
-                           : "both modes");
+                  static_cast<unsigned long long>(lock.link.bytes_delivered));
     }
   } catch (const std::exception& e) {
     std::printf("FUZZ FAILURE seed=%llu (cluster): exception\n  %s\n",
                 static_cast<unsigned long long>(seed), e.what());
-    std::printf("replay: ./build/bench/fuzz_sim --cluster%s%s --seed=%llu\n",
-                parallel ? " --parallel" : "", faults ? " --faults" : "",
+    std::printf("replay: ./build/bench/fuzz_sim --cluster%s --seed=%llu\n",
+                faults ? " --faults" : "",
                 static_cast<unsigned long long>(seed));
     return false;
   }
@@ -661,8 +627,8 @@ bool run_seed(std::uint64_t seed, bool verbose, const std::string& trace_out) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv,
-                     {"help", "cluster", "parallel", "faults", "seed",
-                      "seeds", "start-seed", "trace-out"});
+                     {"help", "cluster", "faults", "seed", "seeds",
+                      "start-seed", "trace-out"});
   if (args.get_bool("help", false)) {
     std::printf(
         "fuzz_sim — differential fuzzer (lockstep vs fast-forward)\n\n"
@@ -671,33 +637,25 @@ int main(int argc, char** argv) {
         "  --seed=<s>         run one seed verbosely (replay mode)\n"
         "  --cluster          fuzz the multi-chip cluster engine instead\n"
         "                     (random shard counts, topologies, link params)\n"
-        "  --parallel         with --cluster: also run the parallel\n"
-        "                     conservative engine (random worker counts) and\n"
-        "                     bit-diff it against the serial engine in both\n"
-        "                     scheduler modes\n"
         "  --faults           with --cluster: inject a seed-deterministic\n"
         "                     fault plan (link degradation + DRAM stalls) on\n"
         "                     the cluster run and add a serving phase with\n"
         "                     chip failures; fault timelines and the full\n"
         "                     ServingReport must stay bit-identical across\n"
-        "                     every engine flavour\n"
+        "                     both scheduler modes\n"
         "  --trace-out=<p>    with --seed: write a Perfetto trace of the\n"
         "                     fast-forward engine run\n");
     return 0;
   }
 
   const bool cluster_mode = args.get_bool("cluster", false);
-  const bool parallel_mode = args.get_bool("parallel", false);
   const bool fault_mode = args.get_bool("faults", false);
   AURORA_CHECK_MSG(!fault_mode || cluster_mode,
                    "--faults requires --cluster");
   if (args.has("seed")) {
     const auto seed = std::uint64_t{args.get_uint("seed", 1)};
     if (cluster_mode) {
-      return run_cluster_seed(seed, /*verbose=*/true, parallel_mode,
-                              fault_mode)
-                 ? 0
-                 : 1;
+      return run_cluster_seed(seed, /*verbose=*/true, fault_mode) ? 0 : 1;
     }
     const std::string trace_out = args.get_string("trace-out", "");
     return run_seed(seed, /*verbose=*/true, trace_out) ? 0 : 1;
@@ -709,14 +667,13 @@ int main(int argc, char** argv) {
   for (std::uint64_t seed = start; seed < start + seeds; ++seed) {
     const bool ok = cluster_mode
                         ? run_cluster_seed(seed, /*verbose=*/false,
-                                           parallel_mode, fault_mode)
+                                           fault_mode)
                         : run_seed(seed, /*verbose=*/false, "");
     if (!ok) return 1;
   }
-  std::printf("fuzz_sim%s%s%s: %llu seed(s) passed, all engine/scheduler "
-              "combinations bit for bit identical\n",
+  std::printf("fuzz_sim%s%s: %llu seed(s) passed, both scheduler modes bit "
+              "for bit identical\n",
               cluster_mode ? " (cluster)" : "",
-              parallel_mode && cluster_mode ? " (parallel differential)" : "",
               fault_mode && cluster_mode ? " (fault injection)" : "",
               static_cast<unsigned long long>(seeds));
   return 0;

@@ -18,6 +18,8 @@
 //   --mode=data   replicate the graph, least-loaded dispatch (throughput);
 //   --mode=shard  shard the graph, every request runs on all chips
 //                 cooperating through the inter-chip link (latency).
+// --parallel-sim runs a shard-parallel request's per-chip engine runs on
+// up to --jobs worker threads; results stay bit-identical.
 //
 //   ./examples/serving [--scale=0.1] [--requests=6] [--hidden=32]
 //                      [--chips=2] [--mode=data|shard] [--parallel-sim]
@@ -496,9 +498,9 @@ int main(int argc, char** argv) {
 
   cluster::ClusterParams params;
   params.num_chips = chips;
-  // --parallel-sim runs each shard-parallel inference on the multi-threaded
-  // conservative engine (bit-identical results, lower wall clock on
-  // multi-core hosts); --jobs caps its worker threads.
+  // --parallel-sim runs each shard-parallel inference's per-chip engine
+  // runs on worker threads (bit-identical results, lower wall clock on
+  // multi-core hosts); --jobs caps the worker threads.
   params.parallel = args.get_bool("parallel-sim", false);
   params.parallel_jobs = args.get_uint("jobs", 0);
 

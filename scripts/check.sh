@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus a sanitizer pass.
 #
-# 1. Clean-ish release build + full test suite (the tier-1 gate).
-# 2. Fast-forward vs lockstep wall-clock microbenchmark (JSON on stdout).
-# 3. AddressSanitizer + UBSan build (-DAURORA_SANITIZE=ON) running the test
+# 1. Clean-ish release build + full test suite (the tier-1 gate), then the
+#    perf harness's own tests.
+# 2. AddressSanitizer + UBSan build (-DAURORA_SANITIZE=ON) running the test
 #    suite and a small parallel comparison grid (--jobs > 1) to shake out
 #    data races over the thread-pooled bench cells and any lifetime bugs in
 #    the event-driven scheduler.
-# 4. ThreadSanitizer build (-DAURORA_SANITIZE=thread) running the cluster
-#    suite and a parallel differential fuzz batch against the
-#    multi-threaded cluster engine.
+# 3. ThreadSanitizer build (-DAURORA_SANITIZE=thread) running the cluster
+#    suite and a multi-threaded faulty serving run against the cluster
+#    engine's per-chip worker threads.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,8 +18,10 @@ cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
 
-echo "== simspeed microbenchmark =="
-./build/bench/micro_simspeed
+echo "== perf harness tests =="
+# Tiny workloads through perfbench/run.py: units, same-seed digest identity,
+# other-seed digest change, tampered-report detection and traced metrics.
+python3 perfbench/test_perfbench.py
 
 echo "== observability smoke: trace + metrics export =="
 # A small cycle-mode run with every observability flag on. Both outputs must
@@ -125,8 +127,8 @@ ctest --test-dir build -L workload --output-on-failure -j
 echo "== fault smoke: deterministic injection + failure-aware serving =="
 # Fault test suite by ctest label, then a 4-chip open-loop run with chip
 # faults on whose JSON report must satisfy both conservation invariants,
-# then the fault differential fuzz (all four engine/scheduler flavours must
-# agree bit for bit on fault timelines and the full ServingReport), then the
+# then the fault differential fuzz (both scheduler modes must agree bit for
+# bit on fault timelines and the full ServingReport), then the
 # availability-vs-MTBF sweep writing its artifact (re-asserts conservation
 # at every point).
 ctest --test-dir build -L fault --output-on-failure -j
@@ -144,17 +146,9 @@ completed = len(report["requests"])
 assert report["admitted"] == completed + report["shed_expired"] \
     + report["failed_permanently"], report
 EOF
-./build/bench/fuzz_sim --cluster --parallel --faults --seeds=25
+./build/bench/fuzz_sim --cluster --faults --seeds=25
 ./build/bench/micro_serving --requests=12 --faults=1 --rate=4000 \
   --out=BENCH_serving_faults.json
-
-echo "== parallel engine: differential fuzz + microbenchmark =="
-# Every seed runs the cluster on the serial AND parallel engines in both
-# scheduler modes; all four results must be bit-identical. Then the
-# serial-vs-parallel wall-clock comparison at 1..16 chips (asserts
-# bit-identity internally) writes its JSON artifact.
-./build/bench/fuzz_sim --cluster --parallel --seeds=25
-./build/bench/micro_clustersim | tee BENCH_clustersim.json
 
 echo "== sanitizers: ASan + UBSan build =="
 cmake -B build-asan -S . -DAURORA_SANITIZE=ON
@@ -167,7 +161,6 @@ echo "== sanitizers: parallel bench grid =="
 export ASAN_OPTIONS="abort_on_error=1:${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1:${UBSAN_OPTIONS:-}"
 ./build-asan/bench/fig9_execution_time --scale=0.02 --jobs=4
-./build-asan/bench/micro_simspeed --iters=200
 
 echo "== sanitizers: differential fuzz smoke =="
 # Fewer seeds than the release smoke: ASan runs each seed's two engine
@@ -215,23 +208,20 @@ ctest --test-dir build-asan -L profile --output-on-failure -j
 ./build-asan/examples/simulate --dataset=cora --scale=0.03 --model=GCN \
   --critpath --what-if="link_bw=2x,dram_latency=0.5x"
 
-echo "== sanitizers: TSan build (parallel cluster engine) =="
+echo "== sanitizers: TSan build (per-chip worker threads) =="
 # ThreadSanitizer cannot coexist with ASan, so it gets its own tree. The
-# attack surface is the parallel engine: the cluster test suite plus a
-# short parallel differential fuzz batch under TSan catches data races in
-# the thread pool, the coordinator barriers and the link fabric inboxes.
+# attack surface is the cluster engine's per-chip fan-out: the cluster test
+# suite (its ParallelEngine tests run chips on worker threads) catches data
+# races in parallel_for and the WorkerBudget.
 export TSAN_OPTIONS="halt_on_error=1:${TSAN_OPTIONS:-}"
 cmake -B build-tsan -S . -DAURORA_SANITIZE=thread
 cmake --build build-tsan -j --target test_cluster test_scheduler test_common \
-  test_sim fuzz_sim serving
+  test_sim serving
 ctest --test-dir build-tsan -L cluster --output-on-failure -j
-./build-tsan/bench/fuzz_sim --cluster --parallel --seeds=5
-# Fault injection on the multi-threaded engine: a shard-parallel serving run
-# with chip faults (retry/failover over the parallel cluster engine) and a
-# short fault differential batch.
+# Fault injection on the multi-threaded fan-out: a shard-parallel serving
+# run with chip faults (retry/failover over parallel per-chip runs).
 ./build-tsan/examples/serving --scale=0.02 --requests=4 --hidden=16 \
   --chips=2 --mode=shard --parallel-sim --faults=3 --mtbf-us=300 \
   --mttr-us=60
-./build-tsan/bench/fuzz_sim --cluster --parallel --faults --seeds=3
 
 echo "check.sh: all green"

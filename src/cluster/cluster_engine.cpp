@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "common/error.hpp"
@@ -12,7 +11,6 @@
 #include "core/report.hpp"
 #include "gnn/workflow.hpp"
 #include "sim/invariants.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/simulator.hpp"
 
 namespace aurora::cluster {
@@ -26,18 +24,15 @@ constexpr Cycle kFarFuture = sim::kNoEvent - 1;
 }  // namespace
 
 ChipProxy::ChipProxy(std::uint32_t chip, std::vector<ChipLayerPlan> layers,
-                     HaloSender* link, sim::Tracer* tracer, TraceShard* shard)
+                     InterChipLink* link, sim::Tracer* tracer)
     : sim::Component("chip" + std::to_string(chip)),
       chip_(chip),
       layers_(std::move(layers)),
       link_(link),
       tracer_(tracer),
-      shard_(shard),
       arrived_(layers_.size(), 0),
       last_arrival_(layers_.size(), 0) {
   AURORA_CHECK(link_ != nullptr);
-  AURORA_CHECK_MSG(tracer_ == nullptr || shard_ == nullptr,
-                   "direct and sharded tracing are exclusive");
   if (layers_.empty()) {
     state_ = State::kDone;
   } else {
@@ -45,9 +40,9 @@ ChipProxy::ChipProxy(std::uint32_t chip, std::vector<ChipLayerPlan> layers,
   }
 }
 
-void ChipProxy::trace_segment(std::uint32_t kind, Cycle start, Cycle end,
-                              Cycle now) const {
-  if (tracer_ == nullptr && shard_ == nullptr) return;
+void ChipProxy::trace_segment(std::uint32_t kind, Cycle start,
+                              Cycle end) const {
+  if (tracer_ == nullptr) return;
   const auto arg0 = static_cast<std::uint64_t>(chip_) * 4 + kind;
   // Compute-pre segments carry the chip-local engine's breakdown of the
   // layer so the profiler can attribute the segment without the chip trace.
@@ -58,13 +53,8 @@ void ChipProxy::trace_segment(std::uint32_t kind, Cycle start, Cycle end,
     arg2 = plan.dram_cycles;
     arg3 = sim::pack_u32_pair(plan.noc_busy_cycles, plan.reconfig_cycles);
   }
-  if (shard_ != nullptr) {
-    shard_->record(now, 0, chip_, start, sim::TraceEvent::kClusterSegment,
-                   arg0, end - start, arg2, arg3);
-  } else {
-    tracer_->record(start, sim::TraceEvent::kClusterSegment, arg0,
-                    end - start, arg2, arg3);
-  }
+  tracer_->record(start, sim::TraceEvent::kClusterSegment, arg0, end - start,
+                  arg2, arg3);
 }
 
 void ChipProxy::on_halo(const LinkMessage& msg, Cycle now) {
@@ -83,17 +73,13 @@ void ChipProxy::tick(Cycle now) {
     switch (state_) {
       case State::kPre:
         if (now >= seg_end_) {
-          trace_segment(0, seg_start_, seg_end_, now);
-          for (LinkMessage msg : layers_[layer_].outgoing) {
+          trace_segment(0, seg_start_, seg_end_);
+          for (const LinkMessage& msg : layers_[layer_].outgoing) {
             halo_bytes_sent_ += msg.bytes;
-            const auto route =
-                static_cast<std::uint64_t>(msg.src) * 256 + msg.dst;
-            if (shard_ != nullptr) {
-              shard_->record(now, 0, chip_, now, sim::TraceEvent::kHaloSent,
-                             route, msg.bytes, msg.layer);
-            } else if (tracer_ != nullptr) {
-              tracer_->record(now, sim::TraceEvent::kHaloSent, route,
-                              msg.bytes, msg.layer);
+            if (tracer_ != nullptr) {
+              tracer_->record(now, sim::TraceEvent::kHaloSent,
+                              sim::pack_u32_pair(msg.src, msg.dst), msg.bytes,
+                              msg.layer);
             }
             link_->send(msg, now);
           }
@@ -107,7 +93,7 @@ void ChipProxy::tick(Cycle now) {
         if (arrived_[layer_] >= plan.expected_chunks &&
             (plan.expected_chunks == 0 || now > last_arrival_[layer_])) {
           halo_wait_cycles_ += now - wait_start_;
-          trace_segment(1, wait_start_, now, now);
+          trace_segment(1, wait_start_, now);
           state_ = State::kPost;
           seg_start_ = now;
           seg_end_ = now + plan.seg_post;
@@ -117,7 +103,7 @@ void ChipProxy::tick(Cycle now) {
       }
       case State::kPost:
         if (now >= seg_end_) {
-          trace_segment(2, seg_start_, seg_end_, now);
+          trace_segment(2, seg_start_, seg_end_);
           ++layer_;
           if (layer_ == layers_.size()) {
             state_ = State::kDone;
@@ -215,7 +201,8 @@ ClusterRunMetrics ClusterEngine::run(const graph::Dataset& dataset,
   // Phase A: chip-local engine runs fix each chip's exact per-layer timing
   // and split it at the halo-exchange point. The chips are independent
   // (each gets its own accelerator, shard and result slot), so the
-  // parallel mode fans them out — this is where the wall-clock dominates.
+  // parallel mode fans them out — this is where the wall-clock goes; the
+  // Phase C replay below is a small fraction of a run.
   std::vector<std::vector<ChipLayerPlan>> chip_plans(n);
   parallel_for(n, params_.parallel ? params_.parallel_jobs : 1,
                [&](std::size_t c) {
@@ -294,8 +281,7 @@ ClusterRunMetrics ClusterEngine::run(const graph::Dataset& dataset,
   }
   bound *= 2;
 
-  // Phase C: replay on the shared cluster clock — one serial simulator, or
-  // one partition per chip under the conservative parallel coordinator.
+  // Phase C: replay on the shared cluster clock.
   if (tracer_ != nullptr) {
     tracer_->record(0, sim::TraceEvent::kRunBegin, sim::kRunKindCluster, n);
     // Annotate the run with the plan's link fault windows (cluster clock)
@@ -305,26 +291,17 @@ ClusterRunMetrics ClusterEngine::run(const graph::Dataset& dataset,
         if (e.kind == fault::FaultKind::kLinkDegraded) {
           tracer_->record(
               e.at, sim::TraceEvent::kLinkDegraded,
-              static_cast<std::uint64_t>(e.chip) * 256 + e.peer,
+              sim::pack_u32_pair(e.chip, e.peer),
               static_cast<std::uint64_t>(std::llround(e.multiplier * 1000.0)));
         } else if (e.kind == fault::FaultKind::kLinkRestored) {
           tracer_->record(e.at, sim::TraceEvent::kLinkRestored,
-                          static_cast<std::uint64_t>(e.chip) * 256 + e.peer,
-                          1000);
+                          sim::pack_u32_pair(e.chip, e.peer), 1000);
         }
       }
     }
   }
-  if (params_.parallel) {
-    link_.reset();
-    run_timeline_parallel(std::move(chip_plans), bound);
-    out.link = fabric_->stats();
-  } else {
-    fabric_.reset();
-    shards_.clear();
-    run_timeline_serial(std::move(chip_plans), bound);
-    out.link = link_->stats();
-  }
+  run_timeline(std::move(chip_plans), bound);
+  out.link = link_->stats();
 
   for (std::uint32_t c = 0; c < n; ++c) {
     ChipRun& chip = out.chips[c];
@@ -360,7 +337,7 @@ ClusterRunMetrics ClusterEngine::run(const graph::Dataset& dataset,
   return out;
 }
 
-void ClusterEngine::run_timeline_serial(
+void ClusterEngine::run_timeline(
     std::vector<std::vector<ChipLayerPlan>>&& chip_plans, Cycle bound) {
   const std::uint32_t n = params_.num_chips;
   link_ = std::make_unique<InterChipLink>(n, params_.link);
@@ -373,8 +350,8 @@ void ClusterEngine::run_timeline_serial(
   link_->set_delivery_callback([this](const LinkMessage& msg, Cycle now) {
     if (tracer_ != nullptr) {
       tracer_->record(now, sim::TraceEvent::kHaloDelivered,
-                      static_cast<std::uint64_t>(msg.src) * 256 + msg.dst,
-                      msg.bytes, msg.layer);
+                      sim::pack_u32_pair(msg.src, msg.dst), msg.bytes,
+                      msg.layer);
     }
     proxies_[msg.dst]->on_halo(msg, now);
   });
@@ -395,95 +372,10 @@ void ClusterEngine::run_timeline_serial(
   if (config_.check_invariants) checker.check_now(simulator.now(), true);
 }
 
-void ClusterEngine::run_timeline_parallel(
-    std::vector<std::vector<ChipLayerPlan>>&& chip_plans, Cycle bound) {
-  const std::uint32_t n = params_.num_chips;
-  fabric_ = std::make_unique<LinkFabric>(n, params_.link);
-  fabric_->set_fault_plan(params_.fault_plan.get());
-  shards_.clear();
-  const bool sharded_trace = tracer_ != nullptr;
-  if (sharded_trace) shards_.resize(n);
-  proxies_.clear();
-  for (std::uint32_t c = 0; c < n; ++c) {
-    proxies_.push_back(std::make_unique<ChipProxy>(
-        c, std::move(chip_plans[c]), &fabric_->endpoint(c), nullptr,
-        sharded_trace ? &shards_[c] : nullptr));
-  }
-  for (std::uint32_t c = 0; c < n; ++c) {
-    fabric_->endpoint(c).set_delivery_callback(
-        [this, c](const LinkMessage& msg, Cycle now, std::size_t via_wire) {
-          if (c < shards_.size()) {
-            shards_[c].record(
-                now, 1, via_wire, now, sim::TraceEvent::kHaloDelivered,
-                static_cast<std::uint64_t>(msg.src) * 256 + msg.dst,
-                msg.bytes, msg.layer);
-          }
-          proxies_[c]->on_halo(msg, now);
-        });
-  }
-
-  // Lookahead: a message posted in a window starting at T serialises no
-  // earlier than T (>= 1 cycle) and then flies hop_latency cycles, so its
-  // arrival is >= T + hop_latency + 1 — the safe window width.
-  sim::ParallelSimulator psim(params_.link.hop_latency + 1);
-  psim.set_fast_forward(config_.fast_forward);
-  std::vector<std::unique_ptr<sim::InvariantChecker>> checkers;
-  for (std::uint32_t c = 0; c < n; ++c) {
-    sim::Simulator& partition = psim.add_partition();
-    partition.add(proxies_[c].get());
-    partition.add(&fabric_->endpoint(c));
-    if (config_.check_invariants) {
-      checkers.push_back(std::make_unique<sim::InvariantChecker>(
-          config_.invariant_interval));
-      checkers.back()->watch(proxies_[c].get());
-      checkers.back()->watch(&fabric_->endpoint(c));
-      partition.add(checkers.back().get());
-    }
-  }
-  psim.set_exchange([this] { fabric_->flush(); });
-  psim.run_until_idle(bound, params_.parallel_jobs);
-
-  if (config_.check_invariants) {
-    // Partition-local laws at the drain point, then the fabric-wide
-    // conservation no single partition can see.
-    for (auto& checker : checkers) checker->check_now(psim.now(), true);
-    sim::InvariantReport report(psim.now(), true);
-    report.set_subject("interchip-fabric");
-    fabric_->verify_drained(report);
-    if (!report.ok()) {
-      throw Error("invariant check failed:\n" + report.to_string());
-    }
-  }
-
-  if (sharded_trace) {
-    std::vector<const TraceShard::Entry*> order;
-    std::size_t total = 0;
-    for (const TraceShard& s : shards_) total += s.entries.size();
-    order.reserve(total);
-    for (const TraceShard& s : shards_) {
-      for (const TraceShard::Entry& e : s.entries) order.push_back(&e);
-    }
-    std::stable_sort(
-        order.begin(), order.end(),
-        [](const TraceShard::Entry* a, const TraceShard::Entry* b) {
-          return std::tie(a->record_cycle, a->cls, a->subkey) <
-                 std::tie(b->record_cycle, b->cls, b->subkey);
-        });
-    for (const TraceShard::Entry* e : order) {
-      tracer_->record(e->record.at, e->record.kind, e->record.arg0,
-                      e->record.arg1, e->record.arg2, e->record.arg3);
-    }
-  }
-}
-
 void ClusterEngine::register_metrics(MetricsRegistry& registry) {
-  AURORA_CHECK_MSG(link_ != nullptr || fabric_ != nullptr,
+  AURORA_CHECK_MSG(link_ != nullptr,
                    "register_metrics needs a completed cluster run");
-  if (link_ != nullptr) {
-    link_->register_metrics(registry);
-  } else {
-    fabric_->register_metrics(registry);
-  }
+  link_->register_metrics(registry);
   for (auto& proxy : proxies_) proxy->register_metrics(registry);
 }
 

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "cluster/interchip.hpp"
-#include "cluster/parallel_link.hpp"
 #include "cluster/shard.hpp"
 #include "core/aurora.hpp"
 #include "sim/trace.hpp"
@@ -43,19 +42,15 @@ struct ClusterParams {
   std::uint32_t num_chips = 2;
   ShardStrategy strategy = ShardStrategy::kRange;
   LinkParams link;
-  /// Run the cluster on the parallel conservative engine: the per-chip
-  /// engine runs fan out over worker threads and the cluster timeline
-  /// executes as one simulator partition per chip under a
-  /// sim::ParallelSimulator. Results are bit-identical to the serial
-  /// engine (asserted by tests and the differential fuzzer).
+  /// Fan the per-chip engine runs (Phase A) out over worker threads. The
+  /// timeline replay (Phase C) always runs on one serial Simulator, so
+  /// results are bit-identical either way.
   bool parallel = false;
-  /// Worker threads for the parallel engine (0 = hardware concurrency;
+  /// Worker threads for the Phase A fan-out (0 = hardware concurrency;
   /// capped by the process-wide WorkerBudget either way).
   unsigned parallel_jobs = 0;
   /// Optional fault plan: its link degradation windows stretch wire
-  /// serialisation on the cluster-run clock (serial and parallel engines
-  /// sample the same windows at the same event points, so runs stay
-  /// bit-identical across all four engine flavours). Null is fully inert.
+  /// serialisation on the cluster-run clock. Null is fully inert.
   std::shared_ptr<const fault::FaultPlan> fault_plan;
 };
 
@@ -76,46 +71,16 @@ struct ChipLayerPlan {
   std::uint32_t expected_chunks = 0;
 };
 
-/// One partition's trace buffer under the parallel engine. The serial
-/// engine records into the shared Tracer in component-execution order;
-/// parallel partitions instead append keyed records into their own shard,
-/// and the engine merges shards by (record cycle, class, subkey) — class 0
-/// = proxy records subkeyed by chip, class 1 = delivery records subkeyed by
-/// the final hop's global wire index. That key totally orders records from
-/// *different* shards exactly like serial execution did (proxies tick in
-/// chip order before the link's deliveries run in wire order), while a
-/// stable sort preserves each shard's own append order — so the merged
-/// Tracer is bit-identical to a serial run's.
-struct TraceShard {
-  struct Entry {
-    Cycle record_cycle = 0;
-    std::uint32_t cls = 0;
-    std::uint64_t subkey = 0;
-    sim::TraceRecord record;
-  };
-  std::vector<Entry> entries;
-
-  void record(Cycle record_cycle, std::uint32_t cls, std::uint64_t subkey,
-              Cycle at, sim::TraceEvent kind, std::uint64_t arg0,
-              std::uint64_t arg1, std::uint64_t arg2 = 0,
-              std::uint64_t arg3 = 0) {
-    entries.push_back(
-        {record_cycle, cls, subkey, {at, kind, arg0, arg1, arg2, arg3}});
-  }
-};
-
 /// Replays one chip's timed segments on the shared cluster clock,
 /// participating in both lockstep and fast-forward scheduling. All state
 /// transitions are pinned to arrival-plus-one boundaries, so results are
 /// independent of component registration order.
 class ChipProxy final : public sim::Component {
  public:
-  /// Sends halos through `link` (the serial InterChipLink or this chip's
-  /// LinkEndpoint). At most one of `tracer` (serial) / `shard` (parallel)
-  /// may be set.
+  /// Sends halos through `link`; records segments and sends into `tracer`
+  /// (may be null).
   ChipProxy(std::uint32_t chip, std::vector<ChipLayerPlan> layers,
-            HaloSender* link, sim::Tracer* tracer,
-            TraceShard* shard = nullptr);
+            InterChipLink* link, sim::Tracer* tracer);
 
   /// Arrival of one halo chunk (called from the link's delivery path).
   void on_halo(const LinkMessage& msg, Cycle now);
@@ -142,16 +107,12 @@ class ChipProxy final : public sim::Component {
  private:
   enum class State : std::uint8_t { kPre, kWaitHalo, kPost, kDone };
 
-  /// `now` is the cycle the record is made at (the transition cycle) — the
-  /// shard merge key; `start`/`end` delimit the traced span itself.
-  void trace_segment(std::uint32_t kind, Cycle start, Cycle end,
-                     Cycle now) const;
+  void trace_segment(std::uint32_t kind, Cycle start, Cycle end) const;
 
   std::uint32_t chip_;
   std::vector<ChipLayerPlan> layers_;
-  HaloSender* link_;
+  InterChipLink* link_;
   sim::Tracer* tracer_;
-  TraceShard* shard_;
 
   State state_ = State::kPre;
   std::size_t layer_ = 0;
@@ -218,30 +179,23 @@ class ClusterEngine {
   [[nodiscard]] const ClusterParams& params() const { return params_; }
 
  private:
-  /// Phase C on the serial shared-clock simulator (the reference engine).
-  void run_timeline_serial(std::vector<std::vector<ChipLayerPlan>>&& chip_plans,
-                           Cycle bound);
-  /// Phase C on the ParallelSimulator: one partition per chip, lookahead
-  /// hop_latency + 1, shard-merged traces. Bit-identical to the serial
-  /// path.
-  void run_timeline_parallel(
-      std::vector<std::vector<ChipLayerPlan>>&& chip_plans, Cycle bound);
+  /// Phase C: replay every chip's plan on one shared-clock Simulator.
+  void run_timeline(std::vector<std::vector<ChipLayerPlan>>&& chip_plans,
+                    Cycle bound);
 
   core::AuroraConfig config_;
   ClusterParams params_;
   sim::Tracer* tracer_ = nullptr;
   std::vector<sim::Tracer*> chip_tracers_;
   std::unique_ptr<InterChipLink> link_;
-  std::unique_ptr<LinkFabric> fabric_;  // outlives proxies_ (declared first)
   std::vector<std::unique_ptr<ChipProxy>> proxies_;
-  std::vector<TraceShard> shards_;
 };
 
 /// Field-by-field comparison of two cluster runs: total cycles, shard
 /// metadata, per-chip engine metrics and halo fields, link stats including
 /// every latency histogram bucket, and the counter sets. Returns
 /// human-readable mismatch lines; empty means bit-identical. Shared by the
-/// differential fuzzer, the bit-identity tests and the microbenchmark.
+/// differential fuzzer, the bit-identity tests and the perf harness.
 [[nodiscard]] std::vector<std::string> diff_cluster_run_metrics(
     const ClusterRunMetrics& a, const ClusterRunMetrics& b);
 

@@ -24,14 +24,6 @@ Cycle link_serialize_cycles(const LinkParams& params, Bytes bytes) {
       1, (bytes + params.bytes_per_cycle - 1) / params.bytes_per_cycle);
 }
 
-std::uint32_t link_next_hop(const LinkParams& params, std::uint32_t num_chips,
-                            std::uint32_t at, std::uint32_t dst) {
-  if (params.topology == ClusterTopology::kFullyConnected) return dst;
-  const std::uint32_t cw = (dst + num_chips - at) % num_chips;
-  const std::uint32_t ccw = (at + num_chips - dst) % num_chips;
-  return cw <= ccw ? (at + 1) % num_chips : (at + num_chips - 1) % num_chips;
-}
-
 std::uint32_t link_route_hops(const LinkParams& params, std::uint32_t num_chips,
                               std::uint32_t src, std::uint32_t dst) {
   AURORA_CHECK(src < num_chips && dst < num_chips && src != dst);
@@ -39,42 +31,6 @@ std::uint32_t link_route_hops(const LinkParams& params, std::uint32_t num_chips,
   const std::uint32_t cw = (dst + num_chips - src) % num_chips;
   const std::uint32_t ccw = (src + num_chips - dst) % num_chips;
   return std::min(cw, ccw);
-}
-
-std::size_t link_wire_index(const LinkParams& params, std::uint32_t num_chips,
-                            std::uint32_t from, std::uint32_t to) {
-  if (params.topology == ClusterTopology::kRing) {
-    return 2 * static_cast<std::size_t>(from) +
-           (to == (from + 1) % num_chips ? 0 : 1);
-  }
-  return static_cast<std::size_t>(from) * (num_chips - 1) +
-         (to < from ? to : to - 1);
-}
-
-std::size_t link_num_wires(const LinkParams& params, std::uint32_t num_chips) {
-  if (num_chips < 2) return 0;
-  if (params.topology == ClusterTopology::kRing) {
-    return 2 * static_cast<std::size_t>(num_chips);
-  }
-  return static_cast<std::size_t>(num_chips) * (num_chips - 1);
-}
-
-LinkTransmitTiming link_transmit_timing(const LinkParams& params,
-                                        const fault::FaultPlan* plan,
-                                        std::uint32_t from, std::uint32_t to,
-                                        Bytes bytes, Cycle now) {
-  LinkTransmitTiming t;
-  t.serialize = link_serialize_cycles(params, bytes);
-  if (plan == nullptr || plan->empty()) return t;
-  const double mult = plan->wire_multiplier_at(from, to, now);
-  if (mult <= 1.0) return t;
-  // Degradation only ever lengthens (mult >= 1 by construction), so the
-  // parallel simulator's hop_latency-based lookahead stays a lower bound.
-  const auto stretched = static_cast<Cycle>(
-      std::ceil(static_cast<double>(t.serialize) * mult));
-  t.degraded_extra = stretched - t.serialize;
-  t.serialize = stretched;
-  return t;
 }
 
 InterChipLink::InterChipLink(std::uint32_t num_chips, const LinkParams& params)
@@ -98,23 +54,23 @@ InterChipLink::InterChipLink(std::uint32_t num_chips, const LinkParams& params)
   }
 }
 
-Cycle InterChipLink::serialize_cycles(Bytes bytes) const {
-  return link_serialize_cycles(params_, bytes);
-}
-
 std::uint32_t InterChipLink::next_hop(std::uint32_t at,
                                       std::uint32_t dst) const {
-  return link_next_hop(params_, num_chips_, at, dst);
-}
-
-std::uint32_t InterChipLink::route_hops(std::uint32_t src,
-                                        std::uint32_t dst) const {
-  return link_route_hops(params_, num_chips_, src, dst);
+  if (params_.topology == ClusterTopology::kFullyConnected) return dst;
+  const std::uint32_t cw = (dst + num_chips_ - at) % num_chips_;
+  const std::uint32_t ccw = (at + num_chips_ - dst) % num_chips_;
+  return cw <= ccw ? (at + 1) % num_chips_
+                   : (at + num_chips_ - 1) % num_chips_;
 }
 
 std::size_t InterChipLink::wire_index(std::uint32_t from,
                                       std::uint32_t to) const {
-  return link_wire_index(params_, num_chips_, from, to);
+  if (params_.topology == ClusterTopology::kRing) {
+    return 2 * static_cast<std::size_t>(from) +
+           (to == (from + 1) % num_chips_ ? 0 : 1);
+  }
+  return static_cast<std::size_t>(from) * (num_chips_ - 1) +
+         (to < from ? to : to - 1);
 }
 
 void InterChipLink::send(LinkMessage msg, Cycle now) {
@@ -164,15 +120,25 @@ void InterChipLink::tick(Cycle now) {
     const LinkMessage& front = w.queue.front();
     if (front.enqueued_at >= now) continue;  // eligible from enqueued_at + 1
     stats_.stall_cycles += now - (front.enqueued_at + 1);
-    const LinkTransmitTiming timing = link_transmit_timing(
-        params_, fault_plan_, w.from, w.to, front.bytes, now);
-    stats_.serialize_cycles += timing.serialize;
-    if (timing.degraded_extra > 0) {
-      stats_.degraded_sends += 1;
-      stats_.degraded_extra_cycles += timing.degraded_extra;
+    Cycle serialize = link_serialize_cycles(params_, front.bytes);
+    if (fault_plan_ != nullptr && !fault_plan_->empty()) {
+      // The degradation multiplier is sampled once, here at the
+      // transmission-start event point, and stretches serialisation only:
+      // start times never move (next_event_cycle stays exact under
+      // fast-forward) and hop flight is untouched (per-wire arrivals stay
+      // ordered).
+      const double mult = fault_plan_->wire_multiplier_at(w.from, w.to, now);
+      if (mult > 1.0) {
+        const auto stretched = static_cast<Cycle>(
+            std::ceil(static_cast<double>(serialize) * mult));
+        stats_.degraded_sends += 1;
+        stats_.degraded_extra_cycles += stretched - serialize;
+        serialize = stretched;
+      }
     }
-    w.free_at = now + timing.serialize;
-    w.flying.push_back({front, now + timing.serialize + params_.hop_latency});
+    stats_.serialize_cycles += serialize;
+    w.free_at = now + serialize;
+    w.flying.push_back({front, now + serialize + params_.hop_latency});
     w.queue.pop_front();
   }
 }

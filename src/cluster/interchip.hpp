@@ -65,59 +65,17 @@ struct LinkMessage {
   Cycle enqueued_at = 0;
 };
 
-// Topology/wire helpers shared by the serial InterChipLink and the
-// per-chip LinkEndpoint of the parallel engine (cluster/parallel_link.hpp).
-// Free functions so both engines provably route, index and serialise
-// identically — the bit-identity guarantee leans on this.
+// Free so that the cluster engine's deadlock bound can use them before a
+// link exists.
 
 /// Serialisation cycles for `bytes` on one wire (>= 1).
 [[nodiscard]] Cycle link_serialize_cycles(const LinkParams& params,
                                           Bytes bytes);
-/// The chip a message at `at` heads to next en route to `dst` (ring:
-/// shortest direction, ties clockwise; fully-connected: dst).
-[[nodiscard]] std::uint32_t link_next_hop(const LinkParams& params,
-                                          std::uint32_t num_chips,
-                                          std::uint32_t at, std::uint32_t dst);
 /// Wire traversals a message (src -> dst) makes under the topology.
 [[nodiscard]] std::uint32_t link_route_hops(const LinkParams& params,
                                             std::uint32_t num_chips,
                                             std::uint32_t src,
                                             std::uint32_t dst);
-/// Global index of the directed wire from -> to. Ring: wire 2i = i -> i+1
-/// (clockwise), 2i+1 = i -> i-1; fully-connected: row-major by source.
-/// Chip c's outgoing wires are contiguous-by-construction in neither
-/// layout, but their global indices are what orders same-cycle arrivals.
-[[nodiscard]] std::size_t link_wire_index(const LinkParams& params,
-                                          std::uint32_t num_chips,
-                                          std::uint32_t from, std::uint32_t to);
-/// Total directed wires under the topology.
-[[nodiscard]] std::size_t link_num_wires(const LinkParams& params,
-                                         std::uint32_t num_chips);
-
-/// Serialisation timing of one transmission starting at `now` on the
-/// directed wire from -> to, with the fault plan's degradation multiplier
-/// (if any) applied. The multiplier is sampled once, at the transmission-
-/// start event point, and stretches the serialisation duration only: start
-/// times never move (next_event_cycle stays exact under fast-forward) and
-/// hop flight is untouched (per-wire arrival order stays monotone, and the
-/// parallel simulator's hop_latency lookahead stays a lower bound).
-struct LinkTransmitTiming {
-  Cycle serialize = 0;
-  /// Extra cycles degradation added over the healthy timing (0 if healthy).
-  Cycle degraded_extra = 0;
-};
-[[nodiscard]] LinkTransmitTiming link_transmit_timing(
-    const LinkParams& params, const fault::FaultPlan* plan, std::uint32_t from,
-    std::uint32_t to, Bytes bytes, Cycle now);
-
-/// Injection interface a ChipProxy sends halos through — implemented by the
-/// serial InterChipLink and by the parallel engine's per-chip LinkEndpoint.
-class HaloSender {
- public:
-  virtual ~HaloSender() = default;
-  /// Inject a message at its source chip. Eligible to serialise from now+1.
-  virtual void send(LinkMessage msg, Cycle now) = 0;
-};
 
 struct LinkStats {
   std::uint64_t messages_sent = 0;
@@ -141,7 +99,7 @@ struct LinkStats {
   Histogram latency{kLinkLatencyBucketCycles, kLinkLatencyBuckets};
 };
 
-class InterChipLink final : public sim::Component, public HaloSender {
+class InterChipLink final : public sim::Component {
  public:
   using DeliveryCallback = std::function<void(const LinkMessage&, Cycle)>;
 
@@ -157,7 +115,7 @@ class InterChipLink final : public sim::Component, public HaloSender {
   void set_fault_plan(const fault::FaultPlan* plan) { fault_plan_ = plan; }
 
   /// Inject a message at its source chip. Eligible to serialise from now+1.
-  void send(LinkMessage msg, Cycle now) override;
+  void send(LinkMessage msg, Cycle now);
 
   [[nodiscard]] std::uint64_t messages_in_flight() const;
   [[nodiscard]] Bytes bytes_in_flight() const;
@@ -166,12 +124,6 @@ class InterChipLink final : public sim::Component, public HaloSender {
     return static_cast<std::uint32_t>(wires_.size());
   }
   [[nodiscard]] const LinkParams& params() const { return params_; }
-
-  /// Serialisation cycles for `bytes` on one wire (>= 1).
-  [[nodiscard]] Cycle serialize_cycles(Bytes bytes) const;
-  /// Hops message (src -> dst) traverses under the configured topology.
-  [[nodiscard]] std::uint32_t route_hops(std::uint32_t src,
-                                         std::uint32_t dst) const;
 
   void tick(Cycle now) override;
   [[nodiscard]] bool idle() const override;
@@ -198,8 +150,13 @@ class InterChipLink final : public sim::Component, public HaloSender {
     Cycle free_at = 0;
   };
 
+  /// The chip a message at `at` heads to next en route to `dst` (ring:
+  /// shortest direction, ties clockwise; fully-connected: dst).
   [[nodiscard]] std::uint32_t next_hop(std::uint32_t at,
                                        std::uint32_t dst) const;
+  /// Index of the directed wire from -> to in `wires_`. Ring: wire 2i =
+  /// i -> i+1 (clockwise), 2i+1 = i -> i-1; fully-connected: row-major by
+  /// source.
   [[nodiscard]] std::size_t wire_index(std::uint32_t from,
                                        std::uint32_t to) const;
   void arrive(const LinkMessage& msg, std::uint32_t at, Cycle now);

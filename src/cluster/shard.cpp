@@ -53,8 +53,6 @@ Bytes ShardPlan::halo_bytes(std::uint32_t src, std::uint32_t dst,
 ShardPlan make_shard_plan(const graph::Dataset& dataset,
                           std::uint32_t num_chips, ShardStrategy strategy) {
   AURORA_CHECK_MSG(num_chips >= 1, "a cluster needs at least one chip");
-  AURORA_CHECK_MSG(num_chips <= 256,
-                   "halo trace encoding caps the cluster at 256 chips");
   const graph::CsrGraph& g = dataset.graph;
   const VertexId n = g.num_vertices();
   AURORA_CHECK_MSG(num_chips <= std::max<VertexId>(n, 1),

@@ -61,12 +61,6 @@ std::string CliArgs::get_string(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t CliArgs::get_int(const std::string& name,
-                              std::int64_t fallback) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
 double CliArgs::get_double(const std::string& name, double fallback,
                            double min, double max) const {
   auto it = values_.find(name);

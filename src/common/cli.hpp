@@ -29,8 +29,6 @@ class CliArgs {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t fallback) const;
   /// Strict double flag: rejects non-numeric values, trailing garbage
   /// (`--rate=1.5x` used to parse as 1.5), NaN/infinity, and values outside
   /// [min, max]. Throws Error naming the offending flag. The fallback is

@@ -1,31 +1,22 @@
-// Fork-join parallelism for bench grids and the parallel cluster simulator.
-//
-// Two layers:
-//   * parallel_for() — one-shot index fan-out over a small std::thread pool,
-//     used by the embarrassingly parallel bench grids;
-//   * ThreadPool — a persistent pool with a barrier-style run(), used by the
-//     parallel discrete-event coordinator (sim/parallel_sim.hpp), where one
-//     fork-join happens per conservative time window and spawning threads
-//     per window would dominate.
+// Fork-join parallelism: parallel_for() fans an index range out over a
+// small std::thread pool. It drives the embarrassingly parallel bench grids
+// and the cluster engine's per-chip engine runs.
 //
 // Oversubscription policy. Nested users compose: a bench grid running with
-// --jobs=J may execute cluster cells that each spin up a per-chip simulator
-// pool. Every helper thread — from either layer — is charged against one
-// process-wide WorkerBudget capped at hardware_concurrency, so the total
-// helper count never exceeds the machine regardless of nesting depth. The
-// calling thread is never charged (it exists either way) and always
-// participates, so an inner pool that gets no budget degrades gracefully to
-// inline execution instead of stacking threads. Budget is acquired at pool
-// construction (or parallel_for entry) and released at destruction (or
-// exit), so siblings re-balance as pools come and go.
+// --jobs=J may execute cluster cells that each fan their chips out again.
+// Every helper thread is charged against one process-wide WorkerBudget
+// capped at hardware_concurrency, so the total helper count never exceeds
+// the machine regardless of nesting depth. The calling thread is never
+// charged (it exists either way) and always participates, so an inner loop
+// that gets no budget degrades gracefully to inline execution instead of
+// stacking threads. Budget is acquired at parallel_for entry and released
+// at exit, so siblings re-balance as loops come and go.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -97,125 +88,12 @@ class WorkerBudget {
   std::atomic<unsigned> cap_;
 };
 
-/// Persistent fork-join pool. Construction acquires up to
-/// `requested_helpers` threads from the WorkerBudget (possibly fewer, down
-/// to zero); destruction releases them. run() executes fn(i) for every
-/// i in [0, count) across the helpers plus the calling thread and returns
-/// when all invocations finished, rethrowing the first exception (remaining
-/// indices still run — tasks are assumed independent). run() is not
-/// reentrant and must always be called from the same ownership context.
-class ThreadPool {
- public:
-  explicit ThreadPool(unsigned requested_helpers) {
-    const unsigned granted =
-        WorkerBudget::instance().acquire(requested_helpers);
-    workers_.reserve(granted);
-    for (unsigned t = 0; t < granted; ++t) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
-  }
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  ~ThreadPool() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    work_cv_.notify_all();
-    for (auto& t : workers_) t.join();
-    WorkerBudget::instance().release(
-        static_cast<unsigned>(workers_.size()));
-  }
-
-  /// Helper threads actually granted (0 = run() executes inline).
-  [[nodiscard]] unsigned helpers() const {
-    return static_cast<unsigned>(workers_.size());
-  }
-
-  void run(std::size_t count, const std::function<void(std::size_t)>& fn) {
-    if (count == 0) return;
-    if (workers_.empty() || count == 1) {
-      for (std::size_t i = 0; i < count; ++i) fn(i);
-      return;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      job_ = &fn;
-      count_ = count;
-      next_.store(0, std::memory_order_relaxed);
-      completed_ = 0;
-      error_ = nullptr;
-      ++epoch_;
-    }
-    work_cv_.notify_all();
-    drain(&fn, count);
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock,
-                  [&] { return completed_ == count_ && active_ == 0; });
-    job_ = nullptr;
-    if (error_) {
-      std::exception_ptr e = error_;
-      error_ = nullptr;
-      std::rethrow_exception(e);
-    }
-  }
-
- private:
-  void drain(const std::function<void(std::size_t)>* job, std::size_t count) {
-    for (;;) {
-      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        (*job)(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (!error_) error_ = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (++completed_ == count_) done_cv_.notify_all();
-    }
-  }
-
-  void worker_loop() {
-    std::uint64_t seen = 0;
-    for (;;) {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
-      if (stop_) return;
-      seen = epoch_;
-      const auto* job = job_;
-      const std::size_t count = count_;
-      if (job == nullptr) continue;  // epoch already fully retired
-      ++active_;
-      lock.unlock();
-      drain(job, count);
-      lock.lock();
-      if (--active_ == 0) done_cv_.notify_all();
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::thread> workers_;
-  bool stop_ = false;
-  std::uint64_t epoch_ = 0;
-  const std::function<void(std::size_t)>* job_ = nullptr;
-  std::size_t count_ = 0;
-  std::atomic<std::size_t> next_{0};
-  std::size_t completed_ = 0;
-  unsigned active_ = 0;
-  std::exception_ptr error_;
-};
-
 /// Invoke fn(i) for every i in [0, count), spread over up to `jobs` threads
 /// (0 = hardware concurrency). jobs == 1 runs everything inline in the
 /// caller thread — the reproducibility mode: no thread scheduling at all.
 /// Helper threads are drawn from the process-wide WorkerBudget, so nested
-/// parallel_for / ThreadPool users never oversubscribe the machine; when no
-/// budget is free the loop runs inline. fn must be safe to call
+/// parallel_for users never oversubscribe the machine; when no budget is
+/// free the loop runs inline. fn must be safe to call
 /// concurrently for distinct indices; writes to distinct result slots need
 /// no synchronisation. The first exception thrown by any invocation is
 /// rethrown here after all workers have stopped (remaining indices are

@@ -5,12 +5,12 @@
 // degradation windows (a >= 1 multiplier on serialisation and hop flight),
 // and DRAM channel stall windows. Plans are generated once from common/rng
 // and then only *queried* during simulation, so every engine flavour
-// (lockstep, fast-forward, serial, parallel) observes the exact same fault
-// timeline — determinism lives in the plan, not in the engines.
+// (lockstep, fast-forward, serial or parallel chip runs) observes the exact
+// same fault timeline — determinism lives in the plan, not in the engines.
 //
 // Clock domains: chip up/down windows are queried on the serving clock by
 // the cluster scheduler's control plane; link windows on the cluster-run
-// clock by InterChipLink/LinkEndpoint; DRAM windows on the chip-local clock
+// clock by InterChipLink; DRAM windows on the chip-local clock
 // by DramModel (plumbed as DramConfig::stall_windows). An empty plan (or a
 // null plan pointer) is fully inert: no query changes any behaviour.
 #pragma once
@@ -119,8 +119,7 @@ class FaultPlan {
   // -- Link degradation (cluster-run clock) --
   /// Serialisation/flight multiplier for the directed wire from -> to at
   /// `at`; 1.0 when healthy. Always >= 1, so degradation only ever
-  /// lengthens transmissions — the conservative-lookahead bound of the
-  /// parallel simulator stays valid.
+  /// lengthens transmissions.
   [[nodiscard]] double wire_multiplier_at(std::uint32_t from,
                                           std::uint32_t to, Cycle at) const;
   [[nodiscard]] const std::vector<DegradeWindow>& wire_windows(

@@ -414,8 +414,8 @@ RunModel parse_run(const std::deque<TraceRecord>& recs, std::size_t begin,
       }
       case TraceEvent::kHaloSent: {
         const auto key = std::make_tuple(
-            static_cast<std::uint32_t>(r.arg0 / 256),
-            static_cast<std::uint32_t>(r.arg0 % 256),
+            static_cast<std::uint32_t>(sim::unpack_u32_hi(r.arg0)),
+            static_cast<std::uint32_t>(sim::unpack_u32_lo(r.arg0)),
             static_cast<std::uint32_t>(r.arg2));
         auto [it, inserted] = routes.try_emplace(key);
         if (inserted) {
@@ -431,8 +431,8 @@ RunModel parse_run(const std::deque<TraceRecord>& recs, std::size_t begin,
       }
       case TraceEvent::kHaloDelivered: {
         const auto key = std::make_tuple(
-            static_cast<std::uint32_t>(r.arg0 / 256),
-            static_cast<std::uint32_t>(r.arg0 % 256),
+            static_cast<std::uint32_t>(sim::unpack_u32_hi(r.arg0)),
+            static_cast<std::uint32_t>(sim::unpack_u32_lo(r.arg0)),
             static_cast<std::uint32_t>(r.arg2));
         const auto it = routes.find(key);
         AURORA_CHECK_MSG(it != routes.end(),

@@ -25,7 +25,7 @@
 // A trace may hold several runs back to back (multi-layer jobs, serving
 // queues); each is delimited by kRunBegin/kRunEnd and analyzed on its own
 // run-local cycle axis, then aggregated. Serial and parallel cluster runs
-// merge to bit-identical traces, so their reports are bit-identical too.
+// record bit-identical traces, so their reports are bit-identical too.
 #pragma once
 
 #include <cstdint>

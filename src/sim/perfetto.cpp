@@ -251,8 +251,8 @@ void emit_process(EventWriter& w, int pid, const TraceProcess& proc) {
                     << ", \"name\": \""
                     << (r.kind == TraceEvent::kLinkDegraded ? "link-degraded"
                                                             : "link-restored")
-                    << "\", \"args\": {\"src\": " << r.arg0 / 256
-                    << ", \"dst\": " << r.arg0 % 256
+                    << "\", \"args\": {\"src\": " << unpack_u32_hi(r.arg0)
+                    << ", \"dst\": " << unpack_u32_lo(r.arg0)
                     << ", \"multiplier_permille\": " << r.arg1 << "}";
           w.end();
           break;

@@ -57,44 +57,6 @@ Cycle Simulator::earliest_event() {
   return next;
 }
 
-void Simulator::jump_to(Cycle target) {
-  AURORA_CHECK(target >= now_);
-  if (target == now_) return;
-  for (auto* c : components_) {
-    if (!c->quiescent_) c->skip_cycles(now_, target);
-  }
-  cycles_skipped_ += target - now_;
-  now_ = target;
-}
-
-void Simulator::run_window(Cycle end) {
-  // Same probe throttle as run_until_idle (see there); kept separate
-  // because windows are short (a link hop) and have no idle exit.
-  Cycle probe_at = now_;
-  Cycle backoff = 1;
-  constexpr Cycle kMaxBackoff = 8;
-  while (now_ < end) {
-    step();
-    if (!fast_forward_ || now_ < probe_at) continue;
-    const Cycle next = earliest_event();
-    if (next <= now_) {
-      probe_at = now_ + backoff;
-      backoff = std::min(backoff * 2, kMaxBackoff);
-      continue;
-    }
-    backoff = 1;
-    // kNoEvent (partition drained) still advances to the barrier: cross-
-    // partition messages flushed there may wake it.
-    const Cycle target = std::min(next, end);
-    if (target <= now_) continue;
-    for (auto* c : components_) {
-      if (!c->quiescent_) c->skip_cycles(now_, target);
-    }
-    cycles_skipped_ += target - now_;
-    now_ = target;
-  }
-}
-
 Cycle Simulator::run_until_idle(Cycle max_cycles) {
   const Cycle deadline = now_ + max_cycles;
   // Probe throttle: asking every component for its next event costs about as

@@ -55,27 +55,6 @@ class Simulator {
   /// Cycles skipped by fast-forward jumps since construction (diagnostic).
   [[nodiscard]] Cycle cycles_skipped() const { return cycles_skipped_; }
 
-  // -- Window API (used by the ParallelSimulator coordinator) --------------
-
-  /// Minimum next-event cycle over all active components (clamped >= now);
-  /// kNoEvent when every active component is drained. Retires drained
-  /// components exactly like the fast-forward probe does.
-  [[nodiscard]] Cycle next_event() { return earliest_event(); }
-
-  /// Jump the clock straight to `target` (>= now) without ticking: every
-  /// active component gets skip_cycles(now, target). The caller guarantees
-  /// no component has an event in [now, target) — in the parallel engine
-  /// the coordinator jumps to the global minimum next-event cycle, which
-  /// satisfies this for every partition.
-  void jump_to(Cycle target);
-
-  /// Run the conservative window [now, end): lockstep mode ticks every
-  /// cycle; fast-forward mode probes and jumps exactly like
-  /// run_until_idle, but never past `end` and without the idle exit (a
-  /// drained partition still advances its clock to the barrier). Leaves
-  /// now() == end.
-  void run_window(Cycle end);
-
  private:
   /// Minimum next-event cycle over all active components, clamped to
   /// >= now_; kNoEvent when every active component is drained.

@@ -43,9 +43,9 @@ enum class TraceEvent : std::uint8_t {
   /// both saturating. Zero-length segments are recorded too, so the
   /// profiler can rely on the strict per-chip pre/wait/post layer cadence.
   kClusterSegment,
-  /// A halo message entering the inter-chip link: arg0 encodes
-  /// src_chip * 256 + dst_chip, arg1 the payload bytes, arg2 the GNN layer
-  /// the halo belongs to.
+  /// A halo message entering the inter-chip link: arg0 =
+  /// pack_u32_pair(src_chip, dst_chip), arg1 the payload bytes, arg2 the
+  /// GNN layer the halo belongs to.
   kHaloSent,
   /// A halo message delivered at its destination chip (same encoding).
   kHaloDelivered,
@@ -59,8 +59,9 @@ enum class TraceEvent : std::uint8_t {
   kRunEnd,
   /// Fault-plan annotations (src/fault). Chip transitions are recorded on
   /// the control-plane (serving) clock: arg0 = chip index. Link transitions
-  /// on the cluster-run clock: arg0 = src_chip * 256 + dst_chip, arg1 = the
-  /// degradation multiplier in permille (1500 = 1.5x; 1000 on restore).
+  /// on the cluster-run clock: arg0 = pack_u32_pair(src_chip, dst_chip),
+  /// arg1 = the degradation multiplier in permille (1500 = 1.5x; 1000 on
+  /// restore).
   kChipDown,
   kChipUp,
   kLinkDegraded,

@@ -1,7 +1,6 @@
 // Unit tests for the common utility layer.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <set>
 
@@ -338,8 +337,8 @@ TEST(Cli, ParsesFlagsAndDefaults) {
   EXPECT_DOUBLE_EQ(args.get_double("scale", 1.0), 0.5);
   EXPECT_EQ(args.get_string("name", "x"), "cora");
   EXPECT_TRUE(args.get_bool("verbose", false));
-  EXPECT_EQ(args.get_int("count", 0), 42);
-  EXPECT_EQ(args.get_int("missing", 7), 7);
+  EXPECT_EQ(args.get_uint("count", 0), 42u);
+  EXPECT_EQ(args.get_uint("missing", 7), 7u);
 }
 
 TEST(Cli, RejectsPositional) {
@@ -413,41 +412,6 @@ TEST(WorkerBudget, ExhaustedBudgetGrantsZero) {
   EXPECT_LE(all, 1u);
   EXPECT_EQ(budget.acquire(1), 0u);  // nothing left — caller runs inline
   budget.release(all);
-}
-
-TEST(ThreadPool, RunCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(100);
-  pool.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // Reusable across epochs: a second run sees fresh indices.
-  pool.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 2);
-}
-
-TEST(ThreadPool, ZeroBudgetDegradesToInlineExecution) {
-  BudgetCapGuard guard(1);
-  auto& budget = WorkerBudget::instance();
-  const unsigned all = budget.acquire(4);  // starve the pool below
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.helpers(), 0u);
-  std::atomic<int> sum{0};
-  pool.run(10, [&](std::size_t i) { sum += static_cast<int>(i); });
-  EXPECT_EQ(sum.load(), 45);
-  budget.release(all);
-}
-
-TEST(ThreadPool, RethrowsFirstException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.run(8,
-                        [&](std::size_t i) {
-                          if (i == 3) throw Error("boom");
-                        }),
-               Error);
-  // The pool survives an exceptional epoch.
-  std::atomic<int> count{0};
-  pool.run(4, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 4);
 }
 
 TEST(ParallelFor, MatchesSerialResultAndReleasesBudget) {

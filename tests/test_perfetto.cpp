@@ -223,9 +223,10 @@ sim::Tracer make_golden_tracer() {
            12, sim::pack_u32_pair(5, 4));
   t.record(80, TraceEvent::kClusterSegment, 1 * 4 + 0, 28,
            10, sim::pack_u32_pair(6, 4));
-  // Halo records: arg0 = src * 256 + dst route, arg1 = bytes, arg2 = layer.
-  t.record(108, TraceEvent::kHaloSent, 1 * 256 + 0, 64, 0);
-  t.record(110, TraceEvent::kHaloDelivered, 1 * 256 + 0, 64, 0);
+  // Halo records: arg0 = pack_u32_pair(src, dst), arg1 = bytes,
+  // arg2 = layer.
+  t.record(108, TraceEvent::kHaloSent, sim::pack_u32_pair(1, 0), 64, 0);
+  t.record(110, TraceEvent::kHaloDelivered, sim::pack_u32_pair(1, 0), 64, 0);
   t.record(110, TraceEvent::kClusterSegment, 0 * 4 + 1, 1);
   t.record(108, TraceEvent::kClusterSegment, 1 * 4 + 1, 0);
   t.record(111, TraceEvent::kClusterSegment, 0 * 4 + 2, 9);
@@ -318,6 +319,23 @@ TEST(Perfetto, TrackNamingIsStable) {
   // per-chip tracks must be named too.
   EXPECT_TRUE(names.count("chip0"));
   EXPECT_TRUE(names.count("chip1"));
+}
+
+// Chip pairs pack into two 32-bit halves, so endpoints past 255 keep their
+// identity in the exported src/dst args.
+TEST(Perfetto, LinkFaultRoutesKeepWideChipIds) {
+  using sim::TraceEvent;
+  sim::Tracer t;
+  t.enable();
+  t.record(5, TraceEvent::kLinkDegraded, sim::pack_u32_pair(3, 300), 1500);
+  t.record(9, TraceEvent::kLinkRestored, sim::pack_u32_pair(256, 1), 1000);
+  const std::string json = sim::perfetto_trace_json(t);
+  EXPECT_NE(json.find("\"src\": 3, \"dst\": 300, \"multiplier_permille\": "
+                      "1500"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"src\": 256, \"dst\": 1, \"multiplier_permille\": "
+                      "1000"),
+            std::string::npos);
 }
 
 TEST(Perfetto, MultiProcessExportNamesEveryProcess) {

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "common/metrics_registry.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/perfetto.hpp"
 #include "sim/sampler.hpp"
 #include "sim/simulator.hpp"
@@ -444,62 +443,6 @@ TEST(Perfetto, WritesLoadableFile) {
   std::stringstream buf;
   buf << in.rdbuf();
   EXPECT_EQ(buf.str(), perfetto_trace_json(t) + "\n");
-}
-
-// ------------------------------------------------- parallel coordinator
-
-TEST(ParallelSimulator, RunsEveryPartitionToCompletion) {
-  ParallelSimulator psim(/*lookahead=*/4);
-  BusyFor fast(2);
-  BusyFor slow(9);
-  psim.add_partition().add(&fast);
-  psim.add_partition().add(&slow);
-  const Cycle end = psim.run_until_idle(100, /*jobs=*/2);
-  EXPECT_GE(end, 9u);                 // windows may overshoot the drain
-  EXPECT_LT(end, 9u + 4u);            // ... by less than one lookahead
-  EXPECT_TRUE(fast.idle());
-  EXPECT_TRUE(slow.idle());
-  EXPECT_GE(psim.windows_run(), 1u);
-}
-
-TEST(ParallelSimulator, ExchangeRunsAtEveryBarrier) {
-  ParallelSimulator psim(/*lookahead=*/3);
-  BusyFor busy(7);
-  psim.add_partition().add(&busy);
-  std::size_t exchanges = 0;
-  psim.set_exchange([&] { ++exchanges; });
-  psim.run_until_idle(100, 1);
-  // One exchange per window plus the final barrier that observes idleness.
-  EXPECT_EQ(exchanges, psim.windows_run() + 1);
-}
-
-TEST(ParallelSimulator, FastForwardJumpsAcrossIdleWindows) {
-  ParallelSimulator psim(/*lookahead=*/5);
-  psim.set_fast_forward(true);
-  FiresAt late(1000);
-  psim.add_partition().add(&late);
-  const Cycle end = psim.run_until_idle(5000, 1);
-  EXPECT_GE(end, 1000u);
-  // The jump to the event swallows nearly the whole run.
-  EXPECT_GE(late.skipped_, 990u);
-  EXPECT_LT(late.ticks_, 20u);
-}
-
-TEST(ParallelSimulator, DeadlockGuardThrows) {
-  class Stuck final : public Component {
-   public:
-    Stuck() : Component("stuck") {}
-    void tick(Cycle) override {}
-    [[nodiscard]] bool idle() const override { return false; }
-  };
-  ParallelSimulator psim(/*lookahead=*/2);
-  Stuck c;
-  psim.add_partition().add(&c);
-  EXPECT_THROW(psim.run_until_idle(50, 1), Error);
-}
-
-TEST(ParallelSimulator, RejectsZeroLookahead) {
-  EXPECT_THROW(ParallelSimulator psim(0), Error);
 }
 
 }  // namespace
