@@ -99,6 +99,14 @@ int main(int argc, char** argv) {
   const std::uint32_t hidden = args.get_uint("hidden", 16, 1);
   const std::uint32_t chips = args.get_uint("chips", 1, 1);
   const std::string mode_arg = args.get_string("mode", "data");
+  const auto mode = cluster::dispatch_mode_by_name(mode_arg);
+  if (!mode.has_value()) {
+    std::fprintf(stderr,
+                 "unknown --mode=%s (accepted: data, shard, data-parallel, "
+                 "shard-parallel)\n",
+                 mode_arg.c_str());
+    return EXIT_FAILURE;
+  }
   const double slo_us = args.get_double("slo-us", 800.0, 0.0, 1e9);
   const double base_rate = args.get_double("rate", 2000.0, 1e-3, 1e12);
   const bool faults_on = args.has("faults");
@@ -117,8 +125,7 @@ int main(int argc, char** argv) {
   params.max_batch = args.get_uint("max-batch", 4, 1);
   params.num_tenants = args.get_uint("tenants", 2, 1);
   params.slo_cycles = static_cast<Cycle>(slo_us * config.frequency_mhz);
-  params.mode = mode_arg == "shard" ? cluster::DispatchMode::kShardParallel
-                                    : cluster::DispatchMode::kDataParallel;
+  params.mode = *mode;
 
   const std::vector<serving::ModelMixEntry> mix = {
       {core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, hidden), "gcn",

@@ -3,10 +3,10 @@
 // graph, sharing the array with per-request partition and NoC
 // reconfiguration.
 //
-// Two serving modes:
+// Two serving modes, both through the one serving engine:
 //
-//   * Closed loop (default): a fixed queue of --requests requests replayed
-//     back to back, as a capacity benchmark.
+//   * Closed loop (default): a fixed queue of --requests requests, all
+//     arriving at cycle 0 and served back to back, as a capacity benchmark.
 //   * Open loop (--arrival=poisson|bursty|diurnal): requests arrive on
 //     their own clock from a seed-deterministic arrival process, pass an
 //     admission-controlled queue (EDF within priority classes, per-tenant
@@ -23,7 +23,7 @@
 //
 //   ./examples/serving [--scale=0.1] [--requests=6] [--hidden=32]
 //                      [--chips=2] [--mode=data|shard] [--parallel-sim]
-//                      [--jobs=N]
+//                      [--jobs=N] [--serving-out=report.json]
 //   ./examples/serving --arrival=poisson --rate=200000 --slo-us=400
 //                      [--seed=1] [--queue-depth=64] [--max-batch=4]
 //                      [--tenants=2] [--burst-mult=8] [--burst-frac=0.1]
@@ -49,6 +49,9 @@
 // --proactive-shed (on by default with faults) drops queued requests whose
 // SLO already expired. The report gains an availability section.
 //
+// Every path prints one report: a row per request (with its a:b partition
+// split), the latency split, and the makespan/overlap line.
+//
 // Observability flags (all paths):
 //   --trace-out=<path>     write a Chrome/Perfetto trace JSON
 //   --metrics-out=<path>   write the per-request metrics JSON report
@@ -60,21 +63,17 @@
 #include <array>
 #include <cstdio>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "cluster/cluster_scheduler.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
-#include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/aurora.hpp"
 #include "core/report.hpp"
-#include "core/scheduler.hpp"
 #include "profile/critpath.hpp"
 #include "serving/serving_engine.hpp"
 #include "sim/perfetto.hpp"
@@ -86,23 +85,105 @@ namespace {
 
 using namespace aurora;
 
-void print_latency_percentiles(const std::vector<Cycle>& latencies,
-                               double frequency_mhz) {
-  std::vector<double> samples;
-  samples.reserve(latencies.size());
-  for (const Cycle l : latencies) samples.push_back(static_cast<double>(l));
-  const auto us = [&](double cycles) { return cycles / frequency_mhz; };
-  std::printf("latency percentiles over %zu request(s): "
-              "p50 %.2f us, p95 %.2f us, p99 %.2f us\n",
-              latencies.size(), us(percentile(samples, 0.50)),
-              us(percentile(samples, 0.95)), us(percentile(samples, 0.99)));
+/// One report for closed-loop, open-loop and dynamic runs: a row per served
+/// request, then admission, the latency split, the makespan/overlap line
+/// and, with faults on or when anything failed, the availability section.
+void print_report(const serving::ServingReport& report,
+                  const std::string& headline, bool faults_on) {
+  const double mhz = report.frequency_mhz;
+  const auto us = [&](Cycle cycles) {
+    return to_fixed(static_cast<double>(cycles) / mhz, 2);
+  };
+  const bool shard = report.mode == cluster::DispatchMode::kShardParallel;
+  AsciiTable table({"request", "tenant", "chip", "arrival", "start", "finish",
+                    "wait (us)", "service (us)", "a:b split", "SLO"});
+  std::uint64_t halo_bytes = 0;
+  for (const auto& r : report.served) {
+    table.add_row({r.label + (r.batched_follower ? " (batched)" : ""),
+                   std::to_string(r.tenant),
+                   shard ? "all" : std::to_string(r.chip),
+                   std::to_string(r.arrival), std::to_string(r.start),
+                   std::to_string(r.finish), us(r.queue_wait()),
+                   us(r.service_time()),
+                   std::to_string(r.metrics.partition_a) + ":" +
+                       std::to_string(r.metrics.partition_b),
+                   report.slo_cycles == 0 ? "-"
+                                          : (r.met_slo() ? "ok" : "MISS")});
+    halo_bytes += r.metrics.counters.get("cluster.halo_bytes_sent");
+  }
+  table.print();
+
+  std::printf("\n%s over %u chip(s), %s dispatch\n", headline.c_str(),
+              report.num_chips, cluster::dispatch_mode_name(report.mode));
+  std::printf("generated %llu, admitted %llu, shed %llu (shed rate %.1f%%)\n",
+              static_cast<unsigned long long>(report.generated),
+              static_cast<unsigned long long>(report.admitted),
+              static_cast<unsigned long long>(report.shed),
+              100.0 * report.shed_rate());
+  if (report.slo_cycles > 0) {
+    std::printf("goodput under %.0f us SLO: %llu/%llu requests (%.0f req/s)\n",
+                static_cast<double>(report.slo_cycles) / mhz,
+                static_cast<unsigned long long>(report.met_slo_count()),
+                static_cast<unsigned long long>(report.generated),
+                report.goodput_rps());
+  }
+  using Percentile = double (serving::ServingReport::*)(double) const;
+  const auto split = [&](const char* name, Percentile percentile) {
+    std::printf("%-10s p50 %.2f us, p95 %.2f us, p99 %.2f us\n", name,
+                (report.*percentile)(0.50) / mhz,
+                (report.*percentile)(0.95) / mhz,
+                (report.*percentile)(0.99) / mhz);
+  };
+  split("latency", &serving::ServingReport::latency_percentile);
+  split("queue wait", &serving::ServingReport::queue_wait_percentile);
+  split("service", &serving::ServingReport::service_percentile);
+  std::printf("makespan %llu cycles (%s us); overlap saved %llu cycles; "
+              "%llu batch(es), %llu batched follower(s), %llu reconfig "
+              "cycles saved\n",
+              static_cast<unsigned long long>(report.horizon),
+              us(report.horizon).c_str(),
+              static_cast<unsigned long long>(report.overlap_savings),
+              static_cast<unsigned long long>(report.batches),
+              static_cast<unsigned long long>(report.batched_followers),
+              static_cast<unsigned long long>(report.reconfig_savings));
+  if (halo_bytes > 0) {
+    std::printf("halo exchanged: %.1f KiB\n",
+                static_cast<double>(halo_bytes) / 1024.0);
+  }
+  if (faults_on || report.failed_attempts > 0 || report.shed_expired > 0) {
+    std::printf("availability: %llu failed attempt(s), %llu retry(ies), "
+                "%llu failed over, %llu failed permanently\n",
+                static_cast<unsigned long long>(report.failed_attempts),
+                static_cast<unsigned long long>(report.retries),
+                static_cast<unsigned long long>(report.failed_over),
+                static_cast<unsigned long long>(report.failed_permanently));
+    std::printf("              %llu shed expired (proactive), %llu shard "
+                "fallback(s); completed %zu/%llu admitted\n",
+                static_cast<unsigned long long>(report.shed_expired),
+                static_cast<unsigned long long>(report.shard_fallbacks),
+                report.served.size(),
+                static_cast<unsigned long long>(report.admitted));
+  }
 }
 
-/// Shared tail of all serving paths: truncation warning, critical-path
-/// analysis (table + JSON + counters merged into the last request), the
-/// Perfetto trace and the metrics report. Returns a process exit code.
-int emit_observability(const CliArgs& args, const sim::Tracer& tracer,
-                       std::vector<core::NamedRun>& runs) {
+/// What every serving path writes: --serving-out, the per-request metrics
+/// report (the serving counters ride the last request), the critical-path
+/// analysis and the Perfetto trace, plus a loud trace-truncation warning.
+/// Returns a process exit code.
+int emit_artifacts(const CliArgs& args, const serving::ServingReport& report,
+                   const sim::Tracer& tracer) {
+  const std::string serving_out = args.get_string("serving-out", "");
+  if (!serving_out.empty()) {
+    core::write_json_file(serving_out, serving::serving_report_json(report));
+    std::printf("serving JSON: %s\n", serving_out.c_str());
+  }
+  std::vector<core::NamedRun> runs;
+  for (const auto& r : report.served) {
+    runs.push_back(
+        {cluster::dispatch_mode_name(report.mode), r.label, r.metrics});
+  }
+  if (!runs.empty()) runs.back().metrics.counters.merge(report.counters());
+
   if (tracer.enabled() && tracer.dropped() > 0) {
     std::fprintf(stderr,
                  "WARNING: trace ring buffer overflowed, %llu records "
@@ -127,21 +208,22 @@ int emit_observability(const CliArgs& args, const sim::Tracer& tracer,
     opts.scenarios = what_if.empty()
                          ? profile::default_what_if_scenarios()
                          : profile::parse_what_if_list(what_if);
-    profile::CritPathReport report;
+    profile::CritPathReport critpath_report;
     try {
-      report = profile::analyze_critical_path(tracer, opts);
+      critpath_report = profile::analyze_critical_path(tracer, opts);
     } catch (const Error& e) {
       std::fprintf(stderr, "critical-path analysis failed: %s\n", e.what());
       return 1;
     }
     if (!runs.empty()) {
-      profile::export_critpath_counters(report,
+      profile::export_critpath_counters(critpath_report,
                                         runs.back().metrics.counters);
     }
-    std::printf("\n%s", profile::format_attribution_table(report).c_str());
+    std::printf("\n%s",
+                profile::format_attribution_table(critpath_report).c_str());
     if (!critpath_out.empty()) {
       core::write_json_file(critpath_out,
-                            profile::critpath_report_json(report));
+                            profile::critpath_report_json(critpath_report));
       std::printf("critical-path JSON: %s\n", critpath_out.c_str());
     }
   }
@@ -157,6 +239,57 @@ int emit_observability(const CliArgs& args, const sim::Tracer& tracer,
     std::printf("metrics JSON: %s\n", metrics_out.c_str());
   }
   return 0;
+}
+
+/// --fanout=10,5: per-layer neighbor caps (0 = take all). Each entry obeys
+/// the --flag unsigned rules, so `5,-3` or `5x,3` fail instead of wrapping
+/// or truncating.
+std::vector<std::uint32_t> parse_fanouts(const std::string& csv) {
+  std::vector<std::uint32_t> fanouts;
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t comma = csv.find(',', begin);
+    const std::string cell = csv.substr(begin, comma - begin);
+    fanouts.push_back(parse_uint(cell, "--fanout entry '" + cell + "'"));
+    if (comma == std::string::npos) return fanouts;
+    begin = comma + 1;
+  }
+}
+
+/// Closed loop: a fixed round-robin queue over the mix, every request
+/// arriving at cycle 0 and served back to back — no batching, no shedding.
+int run_closed_loop(const CliArgs& args, const core::AuroraConfig& config,
+                    const graph::Dataset& graph_ds,
+                    const std::vector<serving::ModelMixEntry>& mix,
+                    const cluster::ClusterParams& cluster_params,
+                    cluster::DispatchMode mode, sim::Tracer& tracer) {
+  const std::uint32_t num_requests = args.get_uint("requests", 6, 1);
+  std::vector<serving::ServingRequest> requests;
+  for (std::uint32_t i = 0; i < num_requests; ++i) {
+    const serving::ModelMixEntry& entry = mix[i % mix.size()];
+    serving::ServingRequest request;
+    request.id = i;
+    request.job = entry.job;
+    request.label = entry.label + " #" + std::to_string(i);
+    requests.push_back(std::move(request));
+  }
+
+  serving::ServingParams params;
+  params.queue_depth = 0;  // unbounded
+  params.max_batch = 1;
+  params.mode = mode;
+  serving::ServingEngine engine(config, cluster_params, params);
+  if (tracer.enabled()) engine.set_tracer(&tracer);
+  const serving::ServingReport report =
+      engine.replay(graph_ds, std::move(requests));
+
+  print_report(report,
+               "closed loop: " + std::to_string(num_requests) +
+                   " request(s) back to back",
+               /*faults_on=*/false);
+  std::printf("Each request reconfigured the same silicon: compare the a:b "
+              "splits.\n");
+  return emit_artifacts(args, report, tracer);
 }
 
 /// Dynamic-graph serving (--dynamic): one seed-deterministic event stream
@@ -183,34 +316,21 @@ int run_dynamic(const CliArgs& args, const core::AuroraConfig& config,
   wp.slo_cycles = static_cast<Cycle>(slo_us * config.frequency_mhz);
   wp.num_chips = cluster_params.num_chips;
   wp.reshard_threshold = args.get_double("reshard-threshold", 0.2, 0.0, 1e3);
-
-  // --fanout=10,5 sets the per-layer neighbor caps (0 = take all).
   wp.sampler.seed = wp.seed * 31 + 7;
-  const std::string fanout_csv = args.get_string("fanout", "10,5");
-  wp.sampler.fanouts.clear();
-  std::string cell;
-  std::istringstream fanouts(fanout_csv);
-  while (std::getline(fanouts, cell, ',')) {
-    try {
-      wp.sampler.fanouts.push_back(
-          static_cast<std::uint32_t>(std::stoul(cell)));
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad --fanout entry '%s' (want e.g. 10,5)\n",
-                   cell.c_str());
-      return 1;
-    }
-  }
-  if (wp.sampler.fanouts.empty()) {
-    std::fprintf(stderr, "--fanout needs at least one layer\n");
-    return 1;
-  }
+  wp.sampler.fanouts = parse_fanouts(args.get_string("fanout", "10,5"));
 
   const core::GnnJob job =
       core::GnnJob::two_layer(gnn::GnnModel::kGcn, graph_ds.spec, hidden);
   workload::DynamicGraph dyn(graph_ds.graph);
   const workload::WorkloadGenerator gen(wp);
-  const workload::DynamicWorkload wl =
+  workload::DynamicWorkload wl =
       gen.generate(dyn, graph_ds, job, tracer.enabled() ? &tracer : nullptr);
+  double batch_vertices = 0.0;
+  double batch_edges = 0.0;
+  for (const auto& q : wl.queries) {
+    batch_vertices += q.dataset->num_vertices();
+    batch_edges += static_cast<double>(q.dataset->num_edges());
+  }
 
   serving::ServingParams params;
   params.seed = wp.seed;
@@ -220,41 +340,26 @@ int run_dynamic(const CliArgs& args, const core::AuroraConfig& config,
   params.mode = mode;
   serving::ServingEngine engine(config, cluster_params, params);
   if (tracer.enabled()) engine.set_tracer(&tracer);
-  const serving::ServingReport report = engine.replay(graph_ds, wl.queries);
+  const serving::ServingReport report =
+      engine.replay(graph_ds, std::move(wl.queries));
 
-  // Request ids are event-stream indices (mutations interleave), not
-  // positions in wl.queries — map them back for the batch-size columns.
-  std::unordered_map<std::uint64_t, const serving::ServingRequest*> by_id;
-  for (const auto& q : wl.queries) by_id.emplace(q.id, &q);
-
-  AsciiTable table({"query", "chip", "batch |V|", "batch |E|", "arrival",
-                    "wait (us)", "service (us)", "SLO"});
-  const auto us = [&](Cycle cycles) {
-    return to_fixed(static_cast<double>(cycles) / config.frequency_mhz, 2);
-  };
-  for (const auto& r : report.served) {
-    const serving::ServingRequest& q = *by_id.at(r.id);
-    const std::string chip_cell =
-        mode == cluster::DispatchMode::kShardParallel ? "all"
-                                                      : std::to_string(r.chip);
-    table.add_row({r.label + (r.batched_follower ? " (batched)" : ""),
-                   chip_cell, std::to_string(q.dataset->num_vertices()),
-                   std::to_string(q.dataset->num_edges()),
-                   std::to_string(r.arrival), us(r.queue_wait()),
-                   us(r.service_time()),
-                   params.slo_cycles == 0 ? "-" : (r.met_slo() ? "ok" : "MISS")});
-  }
-  table.print();
-
+  print_report(report,
+               std::string("dynamic graph, ") +
+                   serving::arrival_kind_name(wp.arrival.kind) +
+                   " arrivals at " + to_fixed(rate_rps, 0) + " req/s",
+               /*faults_on=*/false);
   const auto& s = wl.stats;
-  std::printf("\ndynamic workload: %llu mutation(s) (%llu edge+, %llu "
-              "edge-, %llu vertex+, %llu vertex-), %llu query(ies)\n",
+  const double queries = std::max<double>(1.0, static_cast<double>(s.queries));
+  std::printf("dynamic workload: %llu mutation(s) (%llu edge+, %llu "
+              "edge-, %llu vertex+, %llu vertex-), %llu query(ies) over "
+              "mini-batches of %.1f vertices, %.1f edges on average\n",
               static_cast<unsigned long long>(s.mutations),
               static_cast<unsigned long long>(s.edge_adds),
               static_cast<unsigned long long>(s.edge_removes),
               static_cast<unsigned long long>(s.vertex_adds),
               static_cast<unsigned long long>(s.vertex_removes),
-              static_cast<unsigned long long>(s.queries));
+              static_cast<unsigned long long>(s.queries),
+              batch_vertices / queries, batch_edges / queries);
   std::printf("graph: %u -> %u vertices, %llu -> %llu edges; %llu "
               "compaction(s)\n",
               graph_ds.num_vertices(), s.final_vertices,
@@ -268,32 +373,7 @@ int run_dynamic(const CliArgs& args, const core::AuroraConfig& config,
                 static_cast<unsigned long long>(s.final_cut_edges),
                 static_cast<unsigned long long>(s.planned_cut_edges));
   }
-  const auto pct_us = [&](double cycles) {
-    return cycles / config.frequency_mhz;
-  };
-  std::printf("latency    p50 %.2f us, p95 %.2f us, p99 %.2f us\n",
-              pct_us(report.latency_percentile(0.50)),
-              pct_us(report.latency_percentile(0.95)),
-              pct_us(report.latency_percentile(0.99)));
-  if (params.slo_cycles > 0) {
-    std::printf("goodput under %.0f us SLO: %llu/%llu queries\n", slo_us,
-                static_cast<unsigned long long>(report.met_slo_count()),
-                static_cast<unsigned long long>(report.generated));
-  }
-
-  const std::string serving_out = args.get_string("serving-out", "");
-  if (!serving_out.empty()) {
-    core::write_json_file(serving_out, serving::serving_report_json(report));
-    std::printf("serving JSON: %s\n", serving_out.c_str());
-  }
-  std::vector<core::NamedRun> runs;
-  for (const auto& r : report.served) {
-    runs.push_back({"dynamic", r.label, r.metrics});
-  }
-  if (!runs.empty()) {
-    runs.back().metrics.counters.merge(report.counters());
-  }
-  return emit_observability(args, tracer, runs);
+  return emit_artifacts(args, report, tracer);
 }
 
 /// Open-loop serving: arrival process -> admission -> batching -> dispatch.
@@ -360,92 +440,11 @@ int run_open_loop(const CliArgs& args, const core::AuroraConfig& config,
   if (tracer.enabled()) engine.set_tracer(&tracer);
   const serving::ServingReport report = engine.run(graph_ds, mix);
 
-  AsciiTable table({"request", "tenant", "chip", "arrival", "start",
-                    "finish", "wait (us)", "service (us)", "SLO"});
-  const auto us = [&](Cycle cycles) {
-    return to_fixed(static_cast<double>(cycles) / config.frequency_mhz, 2);
-  };
-  for (const auto& r : report.served) {
-    const std::string chip_cell =
-        mode == cluster::DispatchMode::kShardParallel ? "all"
-                                                      : std::to_string(r.chip);
-    table.add_row({r.label + (r.batched_follower ? " (batched)" : ""),
-                   std::to_string(r.tenant), chip_cell,
-                   std::to_string(r.arrival), std::to_string(r.start),
-                   std::to_string(r.finish), us(r.queue_wait()),
-                   us(r.service_time()),
-                   params.slo_cycles == 0 ? "-" : (r.met_slo() ? "ok" : "MISS")});
-  }
-  table.print();
-
-  std::printf("\n%s arrivals at %.0f req/s over %u chip(s), %s dispatch\n",
-              serving::arrival_kind_name(*kind), rate_rps,
-              cluster_params.num_chips,
-              cluster::dispatch_mode_name(mode));
-  std::printf("generated %llu, admitted %llu, shed %llu (shed rate %.1f%%)\n",
-              static_cast<unsigned long long>(report.generated),
-              static_cast<unsigned long long>(report.admitted),
-              static_cast<unsigned long long>(report.shed),
-              100.0 * report.shed_rate());
-  if (params.slo_cycles > 0) {
-    std::printf("goodput under %.0f us SLO: %llu/%llu requests (%.0f req/s)\n",
-                slo_us,
-                static_cast<unsigned long long>(report.met_slo_count()),
-                static_cast<unsigned long long>(report.generated),
-                report.goodput_rps());
-  }
-  const auto pct_us = [&](double cycles) {
-    return cycles / config.frequency_mhz;
-  };
-  std::printf("latency    p50 %.2f us, p95 %.2f us, p99 %.2f us\n",
-              pct_us(report.latency_percentile(0.50)),
-              pct_us(report.latency_percentile(0.95)),
-              pct_us(report.latency_percentile(0.99)));
-  std::printf("queue wait p50 %.2f us, p95 %.2f us, p99 %.2f us\n",
-              pct_us(report.queue_wait_percentile(0.50)),
-              pct_us(report.queue_wait_percentile(0.95)),
-              pct_us(report.queue_wait_percentile(0.99)));
-  std::printf("service    p50 %.2f us, p95 %.2f us, p99 %.2f us\n",
-              pct_us(report.service_percentile(0.50)),
-              pct_us(report.service_percentile(0.95)),
-              pct_us(report.service_percentile(0.99)));
-  std::printf("batches %llu (%llu batched follower(s), %llu reconfig "
-              "cycles saved); overlap hid %llu cycles\n",
-              static_cast<unsigned long long>(report.batches),
-              static_cast<unsigned long long>(report.batched_followers),
-              static_cast<unsigned long long>(report.reconfig_savings),
-              static_cast<unsigned long long>(report.overlap_savings));
-  if (faults_on || report.failed_attempts > 0 || report.shed_expired > 0) {
-    std::printf("availability: %llu failed attempt(s), %llu retry(ies), "
-                "%llu failed over, %llu failed permanently\n",
-                static_cast<unsigned long long>(report.failed_attempts),
-                static_cast<unsigned long long>(report.retries),
-                static_cast<unsigned long long>(report.failed_over),
-                static_cast<unsigned long long>(report.failed_permanently));
-    std::printf("              %llu shed expired (proactive), %llu shard "
-                "fallback(s); completed %zu/%llu admitted\n",
-                static_cast<unsigned long long>(report.shed_expired),
-                static_cast<unsigned long long>(report.shard_fallbacks),
-                report.served.size(),
-                static_cast<unsigned long long>(report.admitted));
-  }
-
-  const std::string serving_out = args.get_string("serving-out", "");
-  if (!serving_out.empty()) {
-    core::write_json_file(serving_out, serving::serving_report_json(report));
-    std::printf("serving JSON: %s\n", serving_out.c_str());
-  }
-
-  std::vector<core::NamedRun> runs;
-  for (const auto& r : report.served) {
-    runs.push_back({cluster::dispatch_mode_name(mode), r.label, r.metrics});
-  }
-  if (!runs.empty()) {
-    // The serving-level counters ride the last run so --metrics-out and
-    // downstream grids see them next to the per-request metrics.
-    runs.back().metrics.counters.merge(report.counters());
-  }
-  return emit_observability(args, tracer, runs);
+  print_report(report,
+               std::string(serving::arrival_kind_name(*kind)) +
+                   " arrivals at " + to_fixed(rate_rps, 0) + " req/s",
+               faults_on);
+  return emit_artifacts(args, report, tracer);
 }
 
 }  // namespace
@@ -463,13 +462,16 @@ int main(int argc, char** argv) {
        "reshard-threshold"});
   const double scale = args.get_double("scale", 0.1, 1e-6, 100.0);
   const std::uint32_t hidden = args.get_uint("hidden", 32, 1);
-  const auto num_requests =
-      static_cast<std::size_t>(args.get_uint("requests", 6, 1));
   const std::uint32_t chips = args.get_uint("chips", 1, 1);
   const std::string mode_arg = args.get_string("mode", "data");
-  const cluster::DispatchMode mode =
-      mode_arg == "shard" ? cluster::DispatchMode::kShardParallel
-                          : cluster::DispatchMode::kDataParallel;
+  const auto mode = cluster::dispatch_mode_by_name(mode_arg);
+  if (!mode.has_value()) {
+    std::fprintf(stderr,
+                 "unknown --mode=%s (accepted: data, shard, data-parallel, "
+                 "shard-parallel)\n",
+                 mode_arg.c_str());
+    return 1;
+  }
 
   // The "user-item interaction graph": Pubmed-scale structure stands in.
   const graph::Dataset graph_ds =
@@ -480,14 +482,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(graph_ds.num_edges()), chips);
 
   core::AuroraConfig config = core::AuroraConfig::bench();
-
-  // A request mix: candidate scoring (GCN), re-ranking with attention
-  // (AGNN), and a session-graph pass (GraphSAGE-Pool).
-  const std::array<std::pair<gnn::GnnModel, const char*>, 3> kMix = {{
-      {gnn::GnnModel::kGcn, "candidate-scoring/GCN"},
-      {gnn::GnnModel::kAgnn, "re-ranking/AGNN"},
-      {gnn::GnnModel::kGraphSagePool, "session/SAGE-Pool"},
-  }};
 
   sim::Tracer tracer;
   if (!args.get_string("trace-out", "").empty() ||
@@ -505,101 +499,23 @@ int main(int argc, char** argv) {
   params.parallel_jobs = args.get_uint("jobs", 0);
 
   if (args.get_bool("dynamic", false)) {
-    return run_dynamic(args, config, graph_ds, hidden, params, mode, tracer);
+    return run_dynamic(args, config, graph_ds, hidden, params, *mode, tracer);
   }
 
+  // A request mix: candidate scoring (GCN), re-ranking with attention
+  // (AGNN), and a session-graph pass (GraphSAGE-Pool).
+  const std::array<std::pair<gnn::GnnModel, const char*>, 3> kMix = {{
+      {gnn::GnnModel::kGcn, "candidate-scoring/GCN"},
+      {gnn::GnnModel::kAgnn, "re-ranking/AGNN"},
+      {gnn::GnnModel::kGraphSagePool, "session/SAGE-Pool"},
+  }};
+  std::vector<serving::ModelMixEntry> mix;
+  for (const auto& [model, label] : kMix) {
+    mix.push_back({core::GnnJob::two_layer(model, graph_ds.spec, hidden),
+                   std::string(label), 1.0, 0});
+  }
   if (args.has("arrival")) {
-    std::vector<serving::ModelMixEntry> mix;
-    for (const auto& [model, label] : kMix) {
-      mix.push_back({core::GnnJob::two_layer(model, graph_ds.spec, hidden),
-                     std::string(label), 1.0, 0});
-    }
-    return run_open_loop(args, config, graph_ds, mix, params, mode, tracer);
+    return run_open_loop(args, config, graph_ds, mix, params, *mode, tracer);
   }
-
-  // Closed loop: a fixed round-robin queue replayed back to back.
-  std::vector<core::ScheduledRequest> queue;
-  for (std::size_t i = 0; i < num_requests; ++i) {
-    const auto& [model, label] = kMix[i % kMix.size()];
-    queue.push_back({core::GnnJob::two_layer(model, graph_ds.spec, hidden),
-                     std::string(label) + " #" + std::to_string(i)});
-  }
-
-  std::vector<Cycle> latencies;
-  if (chips <= 1) {
-    core::AuroraAccelerator accel(config);
-    if (tracer.enabled()) accel.set_tracer(&tracer);
-    core::Scheduler scheduler(accel);
-    const core::ScheduleResult result = scheduler.run(graph_ds, queue);
-
-    AsciiTable table({"request", "start", "finish", "latency (us)",
-                      "a:b split", "energy (uJ)"});
-    for (const auto& o : result.outcomes) {
-      latencies.push_back(o.latency());
-      table.add_row({o.label, std::to_string(o.start_cycle),
-                     std::to_string(o.finish_cycle),
-                     to_fixed(1e6 * static_cast<double>(o.latency()) /
-                                  (config.frequency_mhz * 1e6),
-                              2),
-                     std::to_string(o.metrics.partition_a) + ":" +
-                         std::to_string(o.metrics.partition_b),
-                     to_fixed(o.metrics.energy.total_pj() * 1e-6, 1)});
-    }
-    table.print();
-    std::printf("\nmakespan: %llu cycles (%.2f us); overlap saved %llu "
-                "cycles; avg latency %.0f cycles\n",
-                static_cast<unsigned long long>(result.makespan),
-                1e6 * static_cast<double>(result.makespan) /
-                    (config.frequency_mhz * 1e6),
-                static_cast<unsigned long long>(result.overlap_savings),
-                result.avg_latency());
-    print_latency_percentiles(latencies, config.frequency_mhz);
-    std::printf("Each request reconfigured the same silicon: compare the "
-                "a:b splits.\n");
-    std::vector<core::NamedRun> runs;
-    for (const auto& o : result.outcomes) {
-      runs.push_back({"aurora", o.label, o.metrics});
-    }
-    return emit_observability(args, tracer, runs);
-  }
-
-  cluster::ClusterScheduler scheduler(config, params);
-  if (tracer.enabled()) scheduler.set_tracer(&tracer);
-  const cluster::ClusterScheduleResult result =
-      scheduler.run(graph_ds, queue, mode);
-
-  AsciiTable table({"request", "chip", "start", "finish", "latency (us)",
-                    "halo (KiB)"});
-  for (const auto& o : result.outcomes) {
-    latencies.push_back(o.latency());
-    const std::string chip_cell =
-        result.mode == cluster::DispatchMode::kShardParallel
-            ? "all"
-            : std::to_string(o.chip);
-    table.add_row(
-        {o.label, chip_cell, std::to_string(o.start_cycle),
-         std::to_string(o.finish_cycle),
-         to_fixed(1e6 * static_cast<double>(o.latency()) /
-                      (config.frequency_mhz * 1e6),
-                  2),
-         to_fixed(static_cast<double>(
-                      o.metrics.counters.get("cluster.halo_bytes_sent")) /
-                      1024.0,
-                  1)});
-  }
-  table.print();
-  std::printf("\n%s over %u chips — makespan: %llu cycles (%.2f us); "
-              "overlap saved %llu cycles; avg latency %.0f cycles\n",
-              dispatch_mode_name(result.mode), chips,
-              static_cast<unsigned long long>(result.makespan),
-              1e6 * static_cast<double>(result.makespan) /
-                  (config.frequency_mhz * 1e6),
-              static_cast<unsigned long long>(result.overlap_savings),
-              result.avg_latency());
-  print_latency_percentiles(latencies, config.frequency_mhz);
-  std::vector<core::NamedRun> runs;
-  for (const auto& o : result.outcomes) {
-    runs.push_back({dispatch_mode_name(result.mode), o.label, o.metrics});
-  }
-  return emit_observability(args, tracer, runs);
+  return run_closed_loop(args, config, graph_ds, mix, params, *mode, tracer);
 }

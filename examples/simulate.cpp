@@ -98,12 +98,13 @@ int main(int argc, char** argv) {
   if (!config_path.empty()) {
     config = core::load_config(config_path, config);
   }
-  const std::string mode = args.get_string("mode", "");
-  if (mode == "cycle") config.mode = core::SimMode::kCycleAccurate;
-  if (mode == "analytic") config.mode = core::SimMode::kAnalytic;
-  const std::string mapping = args.get_string("mapping", "");
-  if (mapping == "hashing") {
-    config.mapping_policy = core::MappingPolicy::kHashing;
+  // Flags override the INI file, with the INI keys' accepted values.
+  if (args.has("mode")) {
+    config.mode = core::sim_mode_by_name(args.get_string("mode", ""), "--mode");
+  }
+  if (args.has("mapping")) {
+    config.mapping_policy = core::mapping_policy_by_name(
+        args.get_string("mapping", ""), "--mapping");
   }
   if (args.get_bool("print-config", false)) {
     std::fputs(core::config_to_ini(config).c_str(), stdout);

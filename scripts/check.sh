@@ -29,6 +29,26 @@ echo "== observability smoke: trace + metrics export =="
 # schema, and the trace must contain phase spans and counter tracks.
 obs_dir="$(mktemp -d)"
 trap 'rm -rf "$obs_dir"' EXIT
+
+# Asserts an aurora.serving.v1 report's schema and both conservation laws
+# (admitted + shed == generated; admitted == completed + shed_expired +
+# failed_permanently). Extra "key=value" arguments pin integer fields.
+check_serving_json() {
+  python3 - "$@" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as fh:
+    report = json.load(fh)
+assert report["schema"] == "aurora.serving.v1", report["schema"]
+assert report["admitted"] + report["shed"] == report["generated"], report
+completed = len(report["requests"])
+assert report["admitted"] == completed + report["shed_expired"] \
+    + report["failed_permanently"], report
+for pin in sys.argv[2:]:
+    key, value = pin.split("=")
+    assert report[key] == int(value), (sys.argv[1], key, report[key])
+EOF
+}
+
 ./build/examples/simulate --dataset=cora --scale=0.03 --model=GCN \
   --mode=cycle --trace-out="$obs_dir/trace.json" \
   --metrics-out="$obs_dir/metrics.json" --sample-interval=32
@@ -80,15 +100,19 @@ echo "== differential fuzz smoke: lockstep vs fast-forward =="
 ./build/bench/fuzz_sim --seeds=25
 
 echo "== cluster smoke: multi-chip scale-out =="
-# Cluster test suite by ctest label, then 2- and 4-chip serving runs in both
-# dispatch modes, then the cluster differential fuzz (random shard counts,
-# topologies and link parameters; per-chip metrics and cluster counters must
-# be bit-identical across scheduler modes).
+# Cluster test suite by ctest label, then closed-loop 2- and 4-chip serving
+# runs in both dispatch modes, whose JSON reports must carry the v1 schema,
+# satisfy both conservation laws and shed nothing, then the cluster
+# differential fuzz (random shard counts, topologies and link parameters;
+# per-chip metrics and cluster counters must be bit-identical across
+# scheduler modes).
 ctest --test-dir build -L cluster --output-on-failure -j
 ./build/examples/serving --scale=0.02 --requests=4 --hidden=16 \
-  --chips=2 --mode=shard
+  --chips=2 --mode=shard --serving-out="$obs_dir/closed_shard.json"
 ./build/examples/serving --scale=0.02 --requests=4 --hidden=16 \
-  --chips=4 --mode=data
+  --chips=4 --mode=data --serving-out="$obs_dir/closed_data.json"
+check_serving_json "$obs_dir/closed_shard.json" shed=0
+check_serving_json "$obs_dir/closed_data.json" shed=0
 ./build/bench/fuzz_sim --cluster --seeds=15
 
 echo "== serving smoke: open-loop engine =="
@@ -100,16 +124,7 @@ ctest --test-dir build -L serving --output-on-failure -j
 ./build/examples/serving --scale=0.02 --hidden=16 --arrival=poisson \
   --rate=200000 --slo-us=500 --requests=16 --seed=3 --queue-depth=4 \
   --serving-out="$obs_dir/serving.json"
-python3 - "$obs_dir/serving.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as fh:
-    report = json.load(fh)
-assert report["schema"] == "aurora.serving.v1", report["schema"]
-assert report["admitted"] + report["shed"] == report["generated"], report
-completed = len(report["requests"])
-assert report["admitted"] == completed + report["shed_expired"] \
-    + report["failed_permanently"], report
-EOF
+check_serving_json "$obs_dir/serving.json"
 ./build/bench/micro_serving --requests=12 --out=BENCH_serving.json
 
 echo "== workload smoke: dynamic graphs + sampling =="
@@ -136,16 +151,7 @@ ctest --test-dir build -L fault --output-on-failure -j
   --rate=150000 --slo-us=800 --requests=16 --seed=7 --chips=4 --mode=data \
   --faults=3 --mtbf-us=200 --mttr-us=50 \
   --serving-out="$obs_dir/serving_faults.json"
-python3 - "$obs_dir/serving_faults.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as fh:
-    report = json.load(fh)
-assert report["schema"] == "aurora.serving.v1", report["schema"]
-assert report["admitted"] + report["shed"] == report["generated"], report
-completed = len(report["requests"])
-assert report["admitted"] == completed + report["shed_expired"] \
-    + report["failed_permanently"], report
-EOF
+check_serving_json "$obs_dir/serving_faults.json"
 ./build/bench/fuzz_sim --cluster --faults --seeds=25
 ./build/bench/micro_serving --requests=12 --faults=1 --rate=4000 \
   --out=BENCH_serving_faults.json

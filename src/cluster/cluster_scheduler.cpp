@@ -8,6 +8,21 @@
 
 namespace aurora::cluster {
 
+namespace {
+
+/// First cycle a request whose leading DRAM span is `lead` can start on
+/// `timeline`: the lead hides under the previous request's compute tail,
+/// and nothing starts before `not_before`.
+Cycle start_on(const core::ChipTimeline& timeline, Cycle lead,
+               Cycle not_before) {
+  const Cycle overlap = std::min(timeline.prev_compute_tail, lead);
+  const Cycle earliest =
+      timeline.busy_until >= overlap ? timeline.busy_until - overlap : 0;
+  return std::max(not_before, earliest);
+}
+
+}  // namespace
+
 const char* dispatch_mode_name(DispatchMode m) {
   switch (m) {
     case DispatchMode::kDataParallel:
@@ -18,11 +33,13 @@ const char* dispatch_mode_name(DispatchMode m) {
   throw Error("invalid DispatchMode");
 }
 
-double ClusterScheduleResult::avg_latency() const {
-  if (outcomes.empty()) return 0.0;
-  double total = 0.0;
-  for (const auto& o : outcomes) total += static_cast<double>(o.latency());
-  return total / static_cast<double>(outcomes.size());
+std::optional<DispatchMode> dispatch_mode_by_name(const std::string& name) {
+  for (DispatchMode mode :
+       {DispatchMode::kDataParallel, DispatchMode::kShardParallel}) {
+    const std::string full = dispatch_mode_name(mode);
+    if (name == full || name + "-parallel" == full) return mode;
+  }
+  return std::nullopt;
 }
 
 ClusterScheduler::ClusterScheduler(const core::AuroraConfig& config,
@@ -58,11 +75,17 @@ void ClusterScheduler::ensure_engine() {
   if (tracer_ != nullptr) engine_->set_tracer(tracer_);
 }
 
-const ClusterScheduler::CachedService* ClusterScheduler::cache_lookup(
+const ClusterScheduler::Service* ClusterScheduler::cache_lookup(
     const std::string& key) const {
   if (tracer_ != nullptr) return nullptr;
   const auto it = service_cache_.find(key);
   return it == service_cache_.end() ? nullptr : &it->second;
+}
+
+const ClusterScheduler::Service& ClusterScheduler::remember(std::string key,
+                                                            Service& fresh) {
+  if (tracer_ != nullptr) return fresh;
+  return service_cache_[std::move(key)] = std::move(fresh);
 }
 
 Cycle ClusterScheduler::next_free(DispatchMode mode) const {
@@ -94,21 +117,22 @@ Cycle ClusterScheduler::next_free(DispatchMode mode) const {
 }
 
 ClusterOutcome ClusterScheduler::serve(const graph::Dataset& dataset,
-                                       core::ScheduledRequest request,
+                                       const core::GnnJob& job,
+                                       const std::string& dataset_key,
                                        DispatchMode mode, Cycle not_before,
                                        bool share_configuration,
                                        std::optional<std::uint32_t> pin_chip) {
   return mode == DispatchMode::kDataParallel
-             ? serve_data_parallel(dataset, request, not_before,
+             ? serve_data_parallel(dataset, job, dataset_key, not_before,
                                    share_configuration, pin_chip)
-             : serve_shard_parallel(dataset, request, not_before,
+             : serve_shard_parallel(dataset, job, dataset_key, not_before,
                                     share_configuration);
 }
 
 ClusterOutcome ClusterScheduler::serve_data_parallel(
-    const graph::Dataset& dataset, core::ScheduledRequest& request,
-    Cycle not_before, bool share_configuration,
-    std::optional<std::uint32_t> pin_chip) {
+    const graph::Dataset& dataset, const core::GnnJob& job,
+    const std::string& dataset_key, Cycle not_before,
+    bool share_configuration, std::optional<std::uint32_t> pin_chip) {
   ensure_chips();
   const fault::FaultPlan* plan = active_fault_plan();
   // Least-loaded dispatch, ties to the lowest chip index; a pinned chip
@@ -154,7 +178,6 @@ ClusterOutcome ClusterScheduler::serve_data_parallel(
       // Every chip is permanently down: nothing can serve this request, now
       // or ever. Report the capacity loss without simulating.
       ClusterOutcome outcome;
-      outcome.label = std::move(request.label);
       outcome.start_cycle = not_before;
       outcome.finish_cycle = not_before;
       outcome.failed = true;
@@ -165,100 +188,61 @@ ClusterOutcome ClusterScheduler::serve_data_parallel(
   }
 
   const std::string key =
-      "data:" + request.dataset_key + ":" + core::job_signature(request.job);
-  core::RunMetrics metrics;
-  if (const CachedService* cached = cache_lookup(key)) {
-    metrics = cached->metrics;
-  } else {
-    metrics = chips_[chip]->run(dataset, request.job);
-    if (tracer_ == nullptr) {
-      service_cache_[key] = {metrics, core::Scheduler::lead_dram_cycles(metrics),
-                             core::Scheduler::tail_compute_cycles(metrics)};
-    }
+      "data:" + dataset_key + ":" + core::job_signature(job);
+  Service fresh;
+  const Service* service = cache_lookup(key);
+  if (service == nullptr) {
+    fresh.metrics = chips_[chip]->run(dataset, job);
+    fresh.lead = core::lead_dram_cycles(fresh.metrics);
+    fresh.tail = core::tail_compute_cycles(fresh.metrics);
+    fresh.reconfig_discount = fresh.metrics.reconfig_cycles;
+    service = &remember(key, fresh);
   }
 
-  Cycle adjusted_not_before = not_before;
+  Cycle start_after = not_before;
   if (plan != nullptr) {
-    // Probe the placement on a scratch copy of the timeline: if the chip is
-    // down at the tentative start, push the start to the repair cycle and
-    // place for real. A window's end never falls inside another window, so
+    // If the chip is down at the tentative start, push the start to the
+    // repair cycle. A window's end never falls inside another window, so
     // one push suffices.
-    core::ChipTimeline probe_timeline = chip_timelines_[chip];
-    const core::RequestOutcome probe = core::Scheduler::place(
-        probe_timeline, "", metrics, not_before, share_configuration);
-    const Cycle up = plan->chip_up_after(chip, probe.start_cycle);
+    const Cycle up = plan->chip_up_after(
+        chip, start_on(chip_timelines_[chip], service->lead, not_before));
     AURORA_CHECK(up != fault::kNever);
-    adjusted_not_before = std::max(not_before, up);
+    start_after = std::max(not_before, up);
   }
-
-  const core::RequestOutcome placed = core::Scheduler::place(
-      chip_timelines_[chip], std::move(request.label), std::move(metrics),
-      adjusted_not_before, share_configuration);
-
-  ClusterOutcome outcome;
-  outcome.label = placed.label;
-  outcome.metrics = placed.metrics;
+  ClusterOutcome outcome = place(chip_timelines_[chip], *service, start_after,
+                                 share_configuration, chip, chip + 1);
   outcome.chip = chip;
-  outcome.start_cycle = placed.start_cycle;
-  outcome.finish_cycle = placed.finish_cycle;
-  outcome.overlap_hidden = placed.overlap_hidden;
-  outcome.reconfig_saved = placed.reconfig_saved;
-  if (plan != nullptr) {
-    const Cycle down = plan->chip_down_in(chip, outcome.start_cycle,
-                                          outcome.finish_cycle);
-    if (down != fault::kNever) {
-      // The chip fail-stopped mid-request: the attempt's work is lost, the
-      // timeline collapses to the failure instant, and no compute tail is
-      // left for a successor to hide its DRAM streaming under.
-      outcome.failed = true;
-      outcome.failed_at = down;
-      outcome.finish_cycle = down;
-      chip_timelines_[chip].busy_until = down;
-      chip_timelines_[chip].prev_compute_tail = 0;
-    }
-  }
   return outcome;
 }
 
 ClusterOutcome ClusterScheduler::serve_shard_parallel(
-    const graph::Dataset& dataset, core::ScheduledRequest& request,
-    Cycle not_before, bool share_configuration) {
+    const graph::Dataset& dataset, const core::GnnJob& job,
+    const std::string& dataset_key, Cycle not_before,
+    bool share_configuration) {
   ensure_engine();
-  const fault::FaultPlan* plan = active_fault_plan();
-
   const std::string key =
-      "shard:" + request.dataset_key + ":" + core::job_signature(request.job);
-  CachedService service;
-  if (const CachedService* cached = cache_lookup(key)) {
-    service = *cached;
-  } else {
-    const ClusterRunMetrics cluster = engine_->run(dataset, request.job);
-    for (const ChipRun& chip : cluster.chips) service.metrics += chip.metrics;
-    service.metrics.total_cycles = cluster.total_cycles;
-    service.metrics.counters.merge(cluster.counters);
-    // Every chip must be free before the next request's barriers can line
-    // up, so the request-level overlap is the weakest chip-level one.
-    service.lead = cluster.chips.empty() ? 0 : sim::kNoEvent;
-    service.tail = cluster.chips.empty() ? 0 : sim::kNoEvent;
-    service.min_chip_reconfig = cluster.chips.empty() ? 0 : sim::kNoEvent;
+      "shard:" + dataset_key + ":" + core::job_signature(job);
+  Service fresh;
+  const Service* service = cache_lookup(key);
+  if (service == nullptr) {
+    const ClusterRunMetrics cluster = engine_->run(dataset, job);
+    for (const ChipRun& chip : cluster.chips) fresh.metrics += chip.metrics;
+    fresh.metrics.total_cycles = cluster.total_cycles;
+    fresh.metrics.counters.merge(cluster.counters);
+    const Cycle unset = cluster.chips.empty() ? 0 : sim::kNoEvent;
+    fresh.lead = fresh.tail = fresh.reconfig_discount = unset;
     for (const ChipRun& chip : cluster.chips) {
-      service.lead = std::min(service.lead,
-                              core::Scheduler::lead_dram_cycles(chip.metrics));
-      service.tail = std::min(
-          service.tail, core::Scheduler::tail_compute_cycles(chip.metrics));
-      service.min_chip_reconfig =
-          std::min(service.min_chip_reconfig, chip.metrics.reconfig_cycles);
+      fresh.lead = std::min(fresh.lead, core::lead_dram_cycles(chip.metrics));
+      fresh.tail =
+          std::min(fresh.tail, core::tail_compute_cycles(chip.metrics));
+      fresh.reconfig_discount =
+          std::min(fresh.reconfig_discount, chip.metrics.reconfig_cycles);
     }
-    if (tracer_ == nullptr) service_cache_[key] = service;
+    service = &remember(key, fresh);
   }
 
-  const Cycle overlap =
-      std::min(shard_timeline_.prev_compute_tail, service.lead);
-  const Cycle earliest = shard_timeline_.busy_until >= overlap
-                             ? shard_timeline_.busy_until - overlap
-                             : 0;
-  const Cycle start = std::max(not_before, earliest);
-  if (plan != nullptr) {
+  if (const fault::FaultPlan* plan = active_fault_plan()) {
+    const Cycle start = start_on(shard_timeline_, service->lead, not_before);
     for (std::uint32_t c = 0; c < params_.num_chips; ++c) {
       if (plan->chip_up_after(c, start) != start) {
         // A gang chip is down (possibly forever) at the cycle the gang
@@ -267,73 +251,58 @@ ClusterOutcome ClusterScheduler::serve_shard_parallel(
         // configuration share does not carry — the chip pool never applied
         // the gang's configuration.
         ClusterOutcome outcome = serve_data_parallel(
-            dataset, request, not_before, /*share_configuration=*/false,
-            std::nullopt);
+            dataset, job, dataset_key, not_before,
+            /*share_configuration=*/false, std::nullopt);
         outcome.shard_fallback = true;
         return outcome;
       }
     }
   }
+  return place(shard_timeline_, *service, not_before, share_configuration, 0,
+               params_.num_chips);
+}
 
+ClusterOutcome ClusterScheduler::place(core::ChipTimeline& timeline,
+                                       const Service& service,
+                                       Cycle not_before,
+                                       bool share_configuration,
+                                       std::uint32_t first_chip,
+                                       std::uint32_t end_chip) const {
   ClusterOutcome outcome;
-  outcome.label = std::move(request.label);
-  outcome.metrics = std::move(service.metrics);
+  outcome.metrics = service.metrics;
   if (share_configuration) {
-    // Each chip skips its own reconfiguration; the cluster makespan shrinks
-    // conservatively by the smallest per-chip skip (the critical chip is
-    // unknown without re-simulating).
     const Cycle saved =
-        std::min(service.min_chip_reconfig, outcome.metrics.total_cycles);
+        std::min(service.reconfig_discount, outcome.metrics.total_cycles);
     outcome.reconfig_saved = saved;
     outcome.metrics.total_cycles -= saved;
     outcome.metrics.reconfig_cycles -= saved;
   }
-
-  outcome.overlap_hidden = overlap;
-  outcome.start_cycle = start;
+  // The leading DRAM phase hides under the previous request's trailing
+  // compute (the PE array is still busy while the DRAM channels idle out).
+  outcome.overlap_hidden = std::min(timeline.prev_compute_tail, service.lead);
+  outcome.start_cycle = start_on(timeline, service.lead, not_before);
   outcome.finish_cycle = outcome.start_cycle + outcome.metrics.total_cycles;
-  shard_timeline_.busy_until = outcome.finish_cycle;
-  shard_timeline_.prev_compute_tail = service.tail;
-  if (plan != nullptr) {
+  timeline.busy_until = outcome.finish_cycle;
+  timeline.prev_compute_tail = service.tail;
+  if (const fault::FaultPlan* plan = active_fault_plan()) {
     Cycle down = fault::kNever;
-    for (std::uint32_t c = 0; c < params_.num_chips; ++c) {
+    for (std::uint32_t c = first_chip; c < end_chip; ++c) {
       down = std::min(down, plan->chip_down_in(c, outcome.start_cycle,
                                                outcome.finish_cycle));
     }
     if (down != fault::kNever) {
-      // Any gang member failing kills the whole shard-parallel attempt.
+      // A serving chip (any gang member, shard-parallel) fail-stopped
+      // mid-request: the attempt's work is lost, the timeline collapses to
+      // the failure instant, and no compute tail is left for a successor to
+      // hide its DRAM streaming under.
       outcome.failed = true;
       outcome.failed_at = down;
       outcome.finish_cycle = down;
-      shard_timeline_.busy_until = down;
-      shard_timeline_.prev_compute_tail = 0;
+      timeline.busy_until = down;
+      timeline.prev_compute_tail = 0;
     }
   }
   return outcome;
-}
-
-ClusterScheduleResult ClusterScheduler::run(
-    const graph::Dataset& dataset, std::vector<core::ScheduledRequest> queue,
-    DispatchMode mode) {
-  AURORA_CHECK(!queue.empty());
-  reset();
-  ClusterScheduleResult result;
-  result.mode = mode;
-  for (auto& req : queue) {
-    ClusterOutcome outcome = serve(dataset, std::move(req), mode);
-    result.overlap_savings += outcome.overlap_hidden;
-    result.outcomes.push_back(std::move(outcome));
-  }
-  if (mode == DispatchMode::kDataParallel) {
-    result.chip_timeline.reserve(chip_timelines_.size());
-    for (const core::ChipTimeline& t : chip_timelines_) {
-      result.chip_timeline.push_back(t.busy_until);
-      result.makespan = std::max(result.makespan, t.busy_until);
-    }
-  } else {
-    result.makespan = shard_timeline_.busy_until;
-  }
-  return result;
 }
 
 }  // namespace aurora::cluster

@@ -1,6 +1,6 @@
-// Cluster-level serving: dispatch a queue of multi-layer GNN requests over
-// N Aurora chips. Extends the single-chip scheduling layer (core::Scheduler
-// supplies the DRAM/compute overlap model) with two dispatch policies:
+// Cluster-level dispatch: place GNN requests, one at a time, over N Aurora
+// chips. Applies the core/scheduler.hpp DRAM/compute overlap model under two
+// dispatch policies:
 //
 //   * data-parallel — the dataset is replicated on every chip; each request
 //     runs whole on the least-loaded chip. Maximises throughput: requests
@@ -10,12 +10,10 @@
 //     sharded graph (ClusterEngine). Minimises per-request latency at the
 //     cost of halo traffic and barrier waits.
 //
-// Like core::Scheduler, the closed-loop run() is a loop over the
-// incremental serve() API, which places one request at a time against
-// persistent chip timelines — the serving engine's entry point for
-// open-loop dispatch (requests arrive while chips are busy, batched
-// followers skip reconfiguration, and a request can be pinned to its batch
-// head's chip).
+// serve() places one request against persistent chip timelines; the
+// serving engine drives it for open-loop arrivals (requests arrive while
+// chips are busy, batched followers skip reconfiguration, and a request can
+// be pinned to its batch head's chip) and for closed-loop replays.
 #pragma once
 
 #include <map>
@@ -36,9 +34,11 @@ enum class DispatchMode : std::uint8_t {
 };
 
 [[nodiscard]] const char* dispatch_mode_name(DispatchMode m);
+/// Parses a dispatch_mode_name() or its CLI short form (`data`, `shard`).
+[[nodiscard]] std::optional<DispatchMode> dispatch_mode_by_name(
+    const std::string& name);
 
 struct ClusterOutcome {
-  std::string label;
   /// Data-parallel: the serving chip's metrics. Shard-parallel: all chips'
   /// metrics accumulated, with total_cycles overridden to the cluster
   /// makespan of the request.
@@ -63,20 +63,6 @@ struct ClusterOutcome {
   /// Every chip is permanently down — the request can never be served.
   /// Implies `failed`; no simulation was attempted.
   bool no_capacity = false;
-
-  [[nodiscard]] Cycle latency() const { return finish_cycle - start_cycle; }
-};
-
-struct ClusterScheduleResult {
-  DispatchMode mode = DispatchMode::kDataParallel;
-  /// Outcomes in submission order.
-  std::vector<ClusterOutcome> outcomes;
-  Cycle makespan = 0;
-  Cycle overlap_savings = 0;
-  /// Final per-chip timeline position (busy-until), data-parallel only.
-  std::vector<Cycle> chip_timeline;
-
-  [[nodiscard]] double avg_latency() const;
 };
 
 class ClusterScheduler {
@@ -84,34 +70,27 @@ class ClusterScheduler {
   ClusterScheduler(const core::AuroraConfig& config,
                    const ClusterParams& params);
 
-  /// Run the queue on `dataset` under `mode`. Outcomes keep submission
-  /// order even when data-parallel dispatch interleaves chips. Resets any
-  /// serving state first, so every run() starts from fresh chips.
-  [[nodiscard]] ClusterScheduleResult run(
-      const graph::Dataset& dataset,
-      std::vector<core::ScheduledRequest> queue, DispatchMode mode);
-
-  /// Place one request. Data-parallel: on the least-loaded chip (or
-  /// `pin_chip`, used to keep a batch on its head's chip); shard-parallel:
-  /// on the whole cluster. The request starts no earlier than `not_before`
-  /// (its arrival) and no earlier than the chip frees up minus the overlap
-  /// window. `share_configuration` marks a batched follower that skips its
-  /// exposed reconfiguration cycles. Chip pools / the cluster engine
-  /// persist across calls; reset() drops them.
+  /// Place one request running `job` over `dataset`. Data-parallel: on the
+  /// least-loaded chip (or `pin_chip`, used to keep a batch on its head's
+  /// chip); shard-parallel: on the whole cluster. The request starts no
+  /// earlier than `not_before` (its arrival) and no earlier than the chip
+  /// frees up minus the overlap window. `share_configuration` marks a
+  /// batched follower that skips its exposed reconfiguration cycles.
+  /// `dataset_key` names `dataset` when it is not the engine's ambient one
+  /// (dynamic workloads dispatch per-request sampled mini-batches; empty
+  /// otherwise) and is folded into the service-cache key, so equal-shaped
+  /// jobs over different subgraphs never alias. Chip pools / the cluster
+  /// engine persist across calls.
   [[nodiscard]] ClusterOutcome serve(
-      const graph::Dataset& dataset, core::ScheduledRequest request,
-      DispatchMode mode, Cycle not_before = 0,
-      bool share_configuration = false,
+      const graph::Dataset& dataset, const core::GnnJob& job,
+      const std::string& dataset_key, DispatchMode mode,
+      Cycle not_before = 0, bool share_configuration = false,
       std::optional<std::uint32_t> pin_chip = std::nullopt);
 
   /// Earliest cycle at which any serving unit frees up (0 before the first
   /// serve call): min over chip timelines (data-parallel) or the cluster
   /// timeline (shard-parallel).
   [[nodiscard]] Cycle next_free(DispatchMode mode) const;
-
-  /// Drop all serving state: chip pools, the cluster engine, timelines and
-  /// the service-metrics cache.
-  void reset();
 
   /// Attach a fault plan: chip down windows (on the serving clock) steer
   /// dispatch away from dead chips, push starts past repair windows, and
@@ -135,33 +114,51 @@ class ClusterScheduler {
   }
 
  private:
-  struct CachedService {
+  /// One request's measured service and the spans placement needs.
+  struct Service {
     core::RunMetrics metrics;
-    /// Shard-parallel overlap bounds (min over chips); recomputed from
-    /// `metrics` for data-parallel outcomes.
+    /// Leading DRAM span that can hide under the predecessor's compute
+    /// tail, and the trailing compute span left for the successor.
+    /// Shard-parallel: the minimum over chips, since every chip must be
+    /// free before the next request's barriers can line up.
     Cycle lead = 0;
     Cycle tail = 0;
-    /// Shard-parallel batching discount: the smallest per-chip exposed
-    /// reconfiguration span. Every chip skips at least this much when the
-    /// configuration is shared, so the cluster makespan conservatively
-    /// shrinks by it.
-    Cycle min_chip_reconfig = 0;
+    /// Reconfiguration a batched follower skips. Shard-parallel: the
+    /// smallest per-chip span — every chip skips at least this much, so the
+    /// cluster makespan conservatively shrinks by it.
+    Cycle reconfig_discount = 0;
   };
 
+  /// Drop all serving state: chip pools, the cluster engine, timelines and
+  /// the service-metrics cache.
+  void reset();
   void ensure_chips();
   void ensure_engine();
   [[nodiscard]] ClusterOutcome serve_data_parallel(
-      const graph::Dataset& dataset, core::ScheduledRequest& request,
-      Cycle not_before, bool share_configuration,
-      std::optional<std::uint32_t> pin_chip);
+      const graph::Dataset& dataset, const core::GnnJob& job,
+      const std::string& dataset_key, Cycle not_before,
+      bool share_configuration, std::optional<std::uint32_t> pin_chip);
   [[nodiscard]] ClusterOutcome serve_shard_parallel(
-      const graph::Dataset& dataset, core::ScheduledRequest& request,
-      Cycle not_before, bool share_configuration);
+      const graph::Dataset& dataset, const core::GnnJob& job,
+      const std::string& dataset_key, Cycle not_before,
+      bool share_configuration);
+  /// The one placement step of both dispatch modes: start `service` on
+  /// `timeline` no earlier than `not_before`, hiding its lead under the
+  /// previous tail; a follower (`share_configuration`) skips the
+  /// reconfiguration discount. Under a fault plan, any chip in
+  /// [first_chip, end_chip) going down inside the window fails the attempt.
+  [[nodiscard]] ClusterOutcome place(core::ChipTimeline& timeline,
+                                     const Service& service, Cycle not_before,
+                                     bool share_configuration,
+                                     std::uint32_t first_chip,
+                                     std::uint32_t end_chip) const;
   /// Deterministic engines make identical jobs yield identical metrics, so
   /// serving caches service measurements by job signature. Disabled while a
   /// tracer is attached. Returns nullptr on miss.
-  [[nodiscard]] const CachedService* cache_lookup(const std::string& key)
-      const;
+  [[nodiscard]] const Service* cache_lookup(const std::string& key) const;
+  /// Caches a freshly measured service (unless tracing) and returns the
+  /// copy to place from.
+  [[nodiscard]] const Service& remember(std::string key, Service& fresh);
   /// The attached fault plan when it has any events; nullptr otherwise.
   [[nodiscard]] const fault::FaultPlan* active_fault_plan() const {
     return fault_plan_ != nullptr && !fault_plan_->empty() ? fault_plan_.get()
@@ -178,7 +175,7 @@ class ClusterScheduler {
   std::vector<core::ChipTimeline> chip_timelines_;
   std::unique_ptr<ClusterEngine> engine_;
   core::ChipTimeline shard_timeline_;
-  std::map<std::string, CachedService> service_cache_;
+  std::map<std::string, Service> service_cache_;
 };
 
 }  // namespace aurora::cluster

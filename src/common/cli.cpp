@@ -87,7 +87,11 @@ double CliArgs::get_double(const std::string& name, double fallback,
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& text = it->second;
+  if (text == "true" || text == "1" || text == "yes") return true;
+  if (text == "false" || text == "0" || text == "no") return false;
+  throw Error("--" + name + "=" + text +
+              " is not a boolean (accepted: true, false, 1, 0, yes, no)");
 }
 
 std::uint32_t CliArgs::get_uint(const std::string& name,
@@ -100,20 +104,18 @@ std::uint32_t CliArgs::get_uint(const std::string& name,
                           << " outside [" << min << ", " << max << "]");
     return fallback;
   }
-  const std::string& text = it->second;
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  AURORA_CHECK_MSG(end != text.c_str() && *end == '\0' && errno == 0,
-                   "--" << name << "=" << text
-                        << " is not an unsigned integer");
-  AURORA_CHECK_MSG(parsed >= 0, "--" << name << "=" << text
-                                     << " must be non-negative");
+  return parse_uint(it->second, "--" + name + "=" + it->second, min, max);
+}
+
+std::uint32_t parse_uint(const std::string& text, const std::string& what,
+                         std::uint32_t min, std::uint32_t max) {
   AURORA_CHECK_MSG(
-      parsed >= static_cast<long long>(min) &&
-          static_cast<unsigned long long>(parsed) <= max,
-      "--" << name << "=" << text << " outside [" << min << ", " << max
-           << "]");
+      !text.empty() && text.find_first_not_of("0123456789") == std::string::npos,
+      what << " is not an unsigned integer");
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text.c_str(), nullptr, 10);
+  AURORA_CHECK_MSG(errno == 0 && parsed >= min && parsed <= max,
+                   what << " outside [" << min << ", " << max << "]");
   return static_cast<std::uint32_t>(parsed);
 }
 

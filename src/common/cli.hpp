@@ -37,10 +37,14 @@ class CliArgs {
       const std::string& name, double fallback,
       double min = std::numeric_limits<double>::lowest(),
       double max = std::numeric_limits<double>::max()) const;
+  /// Strict boolean flag: a bare `--name` or `true|1|yes` is true,
+  /// `false|0|no` is false; anything else (`--critpath=on`) throws Error
+  /// naming the flag, so a typo cannot silently switch a feature off.
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
-  /// Strict unsigned flag: rejects negatives (which used to wrap through
-  /// static_cast<uint32_t>, e.g. `--chips=-1`), non-numeric values, and
-  /// values outside [min, max]. Throws Error with the offending flag.
+  /// Strict unsigned flag (the parse_uint rules): rejects negatives (which
+  /// used to wrap through static_cast<uint32_t>, e.g. `--chips=-1`),
+  /// non-numeric values, and values outside [min, max]. Throws Error with
+  /// the offending flag.
   [[nodiscard]] std::uint32_t get_uint(const std::string& name,
                                        std::uint32_t fallback,
                                        std::uint32_t min = 0,
@@ -54,5 +58,14 @@ class CliArgs {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// Strict unsigned parse behind CliArgs::get_uint, for any unsigned text
+/// (e.g. one entry of a comma-separated flag): decimal digits only — no
+/// sign, whitespace or trailing characters — within [min, max]. Throws
+/// Error naming `what`.
+[[nodiscard]] std::uint32_t parse_uint(const std::string& text,
+                                       const std::string& what,
+                                       std::uint32_t min = 0,
+                                       std::uint32_t max = UINT32_MAX);
 
 }  // namespace aurora

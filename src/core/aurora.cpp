@@ -129,14 +129,4 @@ RunMetrics AuroraAccelerator::run(const graph::Dataset& dataset,
   return total;
 }
 
-std::vector<RunMetrics> AuroraAccelerator::run_pending(
-    const graph::Dataset& dataset) {
-  std::vector<RunMetrics> results;
-  while (dispatcher_.has_pending()) {
-    const HostRequest req = dispatcher_.next();
-    results.push_back(run_layer(dataset, req.model, req.layer));
-  }
-  return results;
-}
-
 }  // namespace aurora::core

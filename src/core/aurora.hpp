@@ -7,7 +7,6 @@
 
 #include "core/analytic_model.hpp"
 #include "core/config.hpp"
-#include "core/controllers.hpp"
 #include "core/cycle_engine.hpp"
 #include "core/dram_traffic.hpp"
 #include "core/metrics.hpp"
@@ -63,19 +62,10 @@ class AuroraAccelerator {
     cycle_engine_.set_sampler(sampler);
   }
 
-  /// Host-side request queue (walk-through example, Sec III-E). Requests
-  /// submitted here are drained by run_pending().
-  [[nodiscard]] RequestDispatcher& request_dispatcher() { return dispatcher_; }
-  /// Drain every queued request against `dataset`; returns per-request
-  /// metrics in submission order.
-  [[nodiscard]] std::vector<RunMetrics> run_pending(
-      const graph::Dataset& dataset);
-
  private:
   AuroraConfig config_;
   CycleEngine cycle_engine_;
   AnalyticModel analytic_model_;
-  RequestDispatcher dispatcher_;
 };
 
 }  // namespace aurora::core

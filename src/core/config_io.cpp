@@ -6,6 +6,21 @@
 
 namespace aurora::core {
 
+SimMode sim_mode_by_name(const std::string& name, const std::string& what) {
+  AURORA_CHECK_MSG(name == "cycle" || name == "analytic",
+                   what << " must be 'cycle' or 'analytic', got " << name);
+  return name == "cycle" ? SimMode::kCycleAccurate : SimMode::kAnalytic;
+}
+
+MappingPolicy mapping_policy_by_name(const std::string& name,
+                                     const std::string& what) {
+  AURORA_CHECK_MSG(
+      name == "degree-aware" || name == "hashing",
+      what << " must be 'degree-aware' or 'hashing', got " << name);
+  return name == "degree-aware" ? MappingPolicy::kDegreeAware
+                                : MappingPolicy::kHashing;
+}
+
 AuroraConfig config_from_ini(const IniFile& ini, AuroraConfig base) {
   AuroraConfig c = base;
   auto u32 = [&](const char* sec, const char* key, std::uint32_t fallback) {
@@ -21,21 +36,17 @@ AuroraConfig config_from_ini(const IniFile& ini, AuroraConfig base) {
   c.buffer_fill_fraction =
       ini.get_double("chip", "buffer_fill_fraction", c.buffer_fill_fraction);
   c.flops_per_pe = ini.get_double("chip", "flops_per_pe", c.flops_per_pe);
-  const std::string mode = ini.get_string(
-      "chip", "mode",
-      c.mode == SimMode::kCycleAccurate ? "cycle" : "analytic");
-  AURORA_CHECK_MSG(mode == "cycle" || mode == "analytic",
-                   "chip.mode must be 'cycle' or 'analytic', got " << mode);
-  c.mode = mode == "cycle" ? SimMode::kCycleAccurate : SimMode::kAnalytic;
+  c.mode = sim_mode_by_name(
+      ini.get_string("chip", "mode",
+                     c.mode == SimMode::kCycleAccurate ? "cycle" : "analytic"),
+      "chip.mode");
   c.fast_forward = ini.get_bool("chip", "fast_forward", c.fast_forward);
-  const std::string mapping = ini.get_string(
-      "chip", "mapping",
-      c.mapping_policy == MappingPolicy::kDegreeAware ? "degree-aware"
-                                                      : "hashing");
-  AURORA_CHECK_MSG(mapping == "degree-aware" || mapping == "hashing",
-                   "chip.mapping must be 'degree-aware' or 'hashing'");
-  c.mapping_policy = mapping == "degree-aware" ? MappingPolicy::kDegreeAware
-                                               : MappingPolicy::kHashing;
+  c.mapping_policy = mapping_policy_by_name(
+      ini.get_string("chip", "mapping",
+                     c.mapping_policy == MappingPolicy::kDegreeAware
+                         ? "degree-aware"
+                         : "hashing"),
+      "chip.mapping");
 
   c.pe.datapath.num_multipliers =
       u32("pe", "multipliers", c.pe.datapath.num_multipliers);

@@ -20,6 +20,14 @@
 
 namespace aurora::core {
 
+/// Parse `chip.mode` / `chip.mapping` values (`cycle|analytic`,
+/// `degree-aware|hashing`); anything else throws Error naming `what`, so
+/// INI keys and CLI flags reject typos with one wording.
+[[nodiscard]] SimMode sim_mode_by_name(const std::string& name,
+                                       const std::string& what);
+[[nodiscard]] MappingPolicy mapping_policy_by_name(const std::string& name,
+                                                   const std::string& what);
+
 /// Apply an INI file on top of `base` (defaults for anything unset).
 [[nodiscard]] AuroraConfig config_from_ini(const IniFile& ini,
                                            AuroraConfig base = {});

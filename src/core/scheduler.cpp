@@ -1,9 +1,6 @@
 #include "core/scheduler.hpp"
 
 #include <algorithm>
-#include <utility>
-
-#include "common/error.hpp"
 
 namespace aurora::core {
 
@@ -20,85 +17,16 @@ std::string job_signature(const GnnJob& job) {
   return key;
 }
 
-double ScheduleResult::avg_latency() const {
-  if (outcomes.empty()) return 0.0;
-  double total = 0.0;
-  for (const auto& o : outcomes) total += static_cast<double>(o.latency());
-  return total / static_cast<double>(outcomes.size());
-}
-
-Cycle Scheduler::lead_dram_cycles(const RunMetrics& metrics) {
+Cycle lead_dram_cycles(const RunMetrics& metrics) {
   return metrics.dram_cycles / std::max<Cycle>(1, metrics.num_subgraphs);
 }
 
-Cycle Scheduler::tail_compute_cycles(const RunMetrics& metrics) {
+Cycle tail_compute_cycles(const RunMetrics& metrics) {
   return metrics.compute_cycles / std::max<Cycle>(1, metrics.num_subgraphs);
 }
 
-Cycle Scheduler::overlap_cycles(Cycle prev_compute_tail,
-                                const RunMetrics& next) {
+Cycle overlap_cycles(Cycle prev_compute_tail, const RunMetrics& next) {
   return std::min(prev_compute_tail, lead_dram_cycles(next));
-}
-
-RequestOutcome Scheduler::place(ChipTimeline& timeline, std::string label,
-                                RunMetrics metrics, Cycle not_before,
-                                bool share_configuration) {
-  RequestOutcome outcome;
-  outcome.label = std::move(label);
-  if (share_configuration) {
-    outcome.reconfig_saved = metrics.reconfig_cycles;
-    metrics.total_cycles -= metrics.reconfig_cycles;
-    metrics.reconfig_cycles = 0;
-  }
-  outcome.metrics = std::move(metrics);
-
-  // The request's leading DRAM phase can hide under the previous request's
-  // trailing compute (the PE array is still busy while the DRAM channels
-  // idle out).
-  outcome.overlap_hidden =
-      overlap_cycles(timeline.prev_compute_tail, outcome.metrics);
-  const Cycle earliest = timeline.busy_until >= outcome.overlap_hidden
-                             ? timeline.busy_until - outcome.overlap_hidden
-                             : 0;
-  outcome.start_cycle = std::max(not_before, earliest);
-  outcome.finish_cycle = outcome.start_cycle + outcome.metrics.total_cycles;
-  timeline.busy_until = outcome.finish_cycle;
-  // Tail compute of this request (last tile's compute not overlapped with
-  // any following DRAM yet).
-  timeline.prev_compute_tail = tail_compute_cycles(outcome.metrics);
-  return outcome;
-}
-
-RequestOutcome Scheduler::serve_on(AuroraAccelerator& accelerator,
-                                   ChipTimeline& timeline,
-                                   const graph::Dataset& dataset,
-                                   ScheduledRequest request, Cycle not_before,
-                                   bool share_configuration) {
-  return place(timeline, std::move(request.label),
-               accelerator.run(dataset, request.job), not_before,
-               share_configuration);
-}
-
-RequestOutcome Scheduler::serve(ChipTimeline& timeline,
-                                const graph::Dataset& dataset,
-                                ScheduledRequest request, Cycle not_before,
-                                bool share_configuration) {
-  return serve_on(accelerator_, timeline, dataset, std::move(request),
-                  not_before, share_configuration);
-}
-
-ScheduleResult Scheduler::run(const graph::Dataset& dataset,
-                              std::vector<ScheduledRequest> queue) {
-  AURORA_CHECK(!queue.empty());
-  ScheduleResult result;
-  ChipTimeline timeline;
-  for (auto& req : queue) {
-    RequestOutcome outcome = serve(timeline, dataset, std::move(req));
-    result.overlap_savings += outcome.overlap_hidden;
-    result.outcomes.push_back(std::move(outcome));
-  }
-  result.makespan = timeline.busy_until;
-  return result;
 }
 
 }  // namespace aurora::core

@@ -1,37 +1,21 @@
-// Multi-request scheduling on one Aurora chip.
+// Request-level scheduling model shared by every serving path.
 //
 // The paper's front end accepts a queue of host requests (Fig 3 (a));
 // because mapping/partition/reconfiguration overlap with compute, the next
 // request's DRAM prefetch can also ride under the current request's compute
-// tail. This scheduler sequences a queue of multi-layer jobs, applying that
-// overlap, and reports per-request latencies plus the makespan — the numbers
-// a serving deployment cares about.
-//
-// Two entry points share one placement model: run() replays a fixed queue
-// back to back (closed loop), while serve() places one request at a time
-// against an explicit ChipTimeline so the serving engine can dispatch
-// open-loop arrivals as chips free up. run() is literally a serve() loop,
-// which is what makes the serving engine bit-identical to it on a
-// closed-loop trace.
+// tail. This header holds that overlap model — the leading DRAM span a
+// request can hide and the trailing compute span it leaves behind — plus a
+// chip's rolling placement state and the job signature that keys batching
+// and the service cache. cluster::ClusterScheduler places requests with it
+// and serving::ServingEngine drives the placements; a closed-loop queue is a
+// ServingEngine::replay with every arrival at cycle 0.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "core/aurora.hpp"
 
 namespace aurora::core {
-
-struct ScheduledRequest {
-  GnnJob job;
-  std::string label;
-  /// Identity of the dataset this request runs over, when it is not the
-  /// engine's ambient dataset (dynamic workloads dispatch per-request
-  /// sampled mini-batches). Folded into the cluster scheduler's service
-  /// cache key so equal-shaped jobs over different subgraphs never alias;
-  /// empty for the ambient dataset.
-  std::string dataset_key{};
-};
 
 /// Stable identity of the partition/NoC configuration a job induces (the
 /// dataset is fixed per serving engine): model plus exact layer shapes.
@@ -41,21 +25,6 @@ struct ScheduledRequest {
 /// stateless across runs), which also makes this the service-cache key.
 [[nodiscard]] std::string job_signature(const GnnJob& job);
 
-struct RequestOutcome {
-  std::string label;
-  RunMetrics metrics;
-  /// When the request started/finished on the shared chip timeline.
-  Cycle start_cycle = 0;
-  Cycle finish_cycle = 0;
-  /// DRAM-under-compute overlap window claimed against the predecessor.
-  Cycle overlap_hidden = 0;
-  /// Reconfiguration cycles not paid because the request joined a batch
-  /// whose head already applied the same configuration.
-  Cycle reconfig_saved = 0;
-
-  [[nodiscard]] Cycle latency() const { return finish_cycle - start_cycle; }
-};
-
 /// Rolling placement state of one chip: when it frees up and how much
 /// trailing compute the last request left for the next one to hide its
 /// DRAM streaming under.
@@ -64,72 +33,14 @@ struct ChipTimeline {
   Cycle prev_compute_tail = 0;
 };
 
-struct ScheduleResult {
-  std::vector<RequestOutcome> outcomes;
-  Cycle makespan = 0;
-  /// Cycles saved by overlapping consecutive requests' DRAM and compute,
-  /// relative to running them back to back.
-  Cycle overlap_savings = 0;
-
-  [[nodiscard]] double avg_latency() const;
-};
-
-class Scheduler {
- public:
-  explicit Scheduler(AuroraAccelerator& accelerator)
-      : accelerator_(accelerator) {}
-
-  /// Run the queue in order on `dataset`. Consecutive requests overlap: the
-  /// next request's DRAM loading hides under the tail of the current
-  /// request's compute, bounded by the smaller of the two.
-  [[nodiscard]] ScheduleResult run(const graph::Dataset& dataset,
-                                   std::vector<ScheduledRequest> queue);
-
-  /// Place one request on `timeline`: simulate it, then start it at the
-  /// earliest of (timeline minus the overlap window) but never before
-  /// `not_before` (a serving dispatch cannot begin before the request
-  /// arrived). `share_configuration` marks a batched follower whose
-  /// partition/NoC configuration was already applied by the batch head —
-  /// its exposed reconfiguration cycles are not paid again.
-  [[nodiscard]] RequestOutcome serve(ChipTimeline& timeline,
-                                     const graph::Dataset& dataset,
-                                     ScheduledRequest request,
-                                     Cycle not_before = 0,
-                                     bool share_configuration = false);
-
-  /// serve() with the accelerator made explicit, for callers owning a chip
-  /// pool (the cluster scheduler's data-parallel dispatch).
-  [[nodiscard]] static RequestOutcome serve_on(AuroraAccelerator& accelerator,
-                                               ChipTimeline& timeline,
-                                               const graph::Dataset& dataset,
-                                               ScheduledRequest request,
-                                               Cycle not_before = 0,
-                                               bool share_configuration =
-                                                   false);
-
-  /// Pure placement step: fold already-measured service metrics into
-  /// `timeline`. Split out so a serving engine with a service-metrics cache
-  /// (identical jobs are deterministic) can skip re-simulation.
-  [[nodiscard]] static RequestOutcome place(ChipTimeline& timeline,
-                                            std::string label,
-                                            RunMetrics metrics,
-                                            Cycle not_before,
-                                            bool share_configuration);
-
-  /// The request's leading DRAM span — the first subgraph's streaming,
-  /// which can hide under a predecessor's trailing compute. Shared with the
-  /// cluster scheduler so single-chip and scale-out serving apply one
-  /// overlap model.
-  [[nodiscard]] static Cycle lead_dram_cycles(const RunMetrics& metrics);
-  /// The request's trailing compute span — the last subgraph's compute,
-  /// under which a successor's DRAM streaming can hide.
-  [[nodiscard]] static Cycle tail_compute_cycles(const RunMetrics& metrics);
-  /// Cycles saved by back-to-back scheduling of `prev` then `next`.
-  [[nodiscard]] static Cycle overlap_cycles(Cycle prev_compute_tail,
-                                            const RunMetrics& next);
-
- private:
-  AuroraAccelerator& accelerator_;
-};
+/// The request's leading DRAM span — the first subgraph's streaming, which
+/// can hide under a predecessor's trailing compute.
+[[nodiscard]] Cycle lead_dram_cycles(const RunMetrics& metrics);
+/// The request's trailing compute span — the last subgraph's compute, under
+/// which a successor's DRAM streaming can hide.
+[[nodiscard]] Cycle tail_compute_cycles(const RunMetrics& metrics);
+/// Cycles saved by back-to-back scheduling of `prev` then `next`.
+[[nodiscard]] Cycle overlap_cycles(Cycle prev_compute_tail,
+                                   const RunMetrics& next);
 
 }  // namespace aurora::core

@@ -372,8 +372,7 @@ ServingReport ServingEngine::serve_all(const graph::Dataset& dataset,
       const graph::Dataset& request_dataset =
           request.dataset != nullptr ? *request.dataset : dataset;
       cluster::ClusterOutcome outcome = scheduler.serve(
-          request_dataset,
-          {request.job, request.label, request.dataset_key}, params_.mode,
+          request_dataset, request.job, request.dataset_key, params_.mode,
           std::max(request.arrival, request.not_before), follower, pin_chip);
       if (outcome.shard_fallback) ++report.shard_fallbacks;
       if (outcome.failed) {

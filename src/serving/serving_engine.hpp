@@ -1,19 +1,20 @@
-// Open-loop serving engine: arrival process -> admission queue -> dynamic
-// batching -> cluster dispatch.
+// Serving engine: arrival process -> admission queue -> dynamic batching ->
+// cluster dispatch. The one code path that serves a request queue.
 //
-// Drives the existing dispatch layers (core::Scheduler's overlap model via
-// cluster::ClusterScheduler, both data-parallel and shard-parallel, serial
-// or parallel simulation) with requests that arrive on their own clock, and
-// reports what a deployment actually tunes against: goodput under SLO, shed
-// rate, and the queue-wait vs service-time split behind each latency
-// percentile. Fully deterministic for a fixed seed.
+// Drives cluster::ClusterScheduler (both data-parallel and shard-parallel,
+// serial or parallel per-chip simulation) with requests that arrive on
+// their own clock, and reports what a deployment actually tunes against:
+// goodput under SLO, shed rate, and the queue-wait vs service-time split
+// behind each latency percentile. Fully deterministic for a fixed seed.
 //
 // The event loop is intentionally simple: advance to the earliest cycle a
 // serving unit frees up, admit everything that has arrived by then, pop a
 // batch (EDF within priority classes, per-tenant fairness; followers share
 // the head's partition/NoC configuration and skip reconfiguration), and
-// dispatch it. With batching off and all arrivals at cycle 0 this collapses
-// to core::Scheduler::run bit-for-bit — the equivalence the tests pin.
+// dispatch it. A closed-loop queue is a replay() with every arrival at
+// cycle 0, max_batch = 1 and an unbounded queue: requests then run back to
+// back in submission order, each hiding its DRAM prefetch under its
+// predecessor's compute tail.
 #pragma once
 
 #include <memory>
@@ -177,9 +178,9 @@ class ServingEngine {
   [[nodiscard]] ServingReport run(const graph::Dataset& dataset,
                                   const std::vector<ModelMixEntry>& mix);
 
-  /// Serve a pre-built request list (closed-loop replay and tests).
-  /// Requests must be sorted by arrival; compat_key may be left empty and
-  /// is filled from the job.
+  /// Serve a pre-built request list (closed-loop queues, dynamic
+  /// workloads and tests). Requests must be sorted by arrival; compat_key
+  /// may be left empty and is filled from the job.
   [[nodiscard]] ServingReport replay(const graph::Dataset& dataset,
                                      std::vector<ServingRequest> requests);
 

@@ -5,8 +5,8 @@
 // NeighborSampler expands a seed set hop by hop under per-layer fanout caps
 // (with or without replacement), dedups the frontier, and materialises the
 // induced subgraph as a self-contained CSR over compact local ids — ready to
-// wrap into a graph::Dataset and hand to core::Scheduler or ClusterScheduler
-// as an ordinary job. All randomness flows through aurora::Rng seeded from
+// wrap into a graph::Dataset and serve through serving::ServingEngine as an
+// ordinary job. All randomness flows through aurora::Rng seeded from
 // (params.seed, salt), so a fixed seed reproduces a batch bit-for-bit across
 // serial/parallel and lockstep/fast-forward simulation modes.
 #pragma once

@@ -1,7 +1,7 @@
 // Tests for the multi-chip scale-out subsystem: the shard planner's cut and
 // ghost bookkeeping, the inter-chip link's cycle-level behaviour and
 // conservation laws, the cluster engine's single-chip equivalence and
-// multi-chip halo exchange, and the cluster-level serving scheduler.
+// multi-chip halo exchange, and the dispatch-mode names.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -518,55 +518,23 @@ TEST(ParallelEngine, DeterministicAcrossWorkerCountsAndRepeats) {
 
 // -------------------------------------------------------------- scheduler
 
-TEST(ClusterScheduler, DataParallelSpreadsRequestsAcrossChips) {
-  const graph::Dataset ds = make_test_dataset(40, 90, 37);
-  std::vector<core::ScheduledRequest> queue;
-  for (int i = 0; i < 4; ++i) {
-    queue.push_back({core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8),
-                     "req" + std::to_string(i)});
+TEST(ClusterScheduler, DispatchModeNamesRoundTrip) {
+  for (const cluster::DispatchMode mode :
+       {cluster::DispatchMode::kDataParallel,
+        cluster::DispatchMode::kShardParallel}) {
+    const auto parsed =
+        cluster::dispatch_mode_by_name(cluster::dispatch_mode_name(mode));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(*parsed, mode);
   }
-  cluster::ClusterParams params;
-  params.num_chips = 2;
-  cluster::ClusterScheduler scheduler(small_config(), params);
-  const cluster::ClusterScheduleResult result =
-      scheduler.run(ds, queue, cluster::DispatchMode::kDataParallel);
-
-  ASSERT_EQ(result.outcomes.size(), 4u);
-  bool chip0 = false;
-  bool chip1 = false;
-  Cycle latency_sum = 0;
-  for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-    EXPECT_EQ(result.outcomes[i].label, "req" + std::to_string(i));
-    chip0 |= result.outcomes[i].chip == 0;
-    chip1 |= result.outcomes[i].chip == 1;
-    latency_sum += result.outcomes[i].latency();
-  }
-  EXPECT_TRUE(chip0 && chip1) << "both chips should serve requests";
-  // Two chips in parallel beat a serial schedule of the same requests.
-  EXPECT_LT(result.makespan, latency_sum);
-  ASSERT_EQ(result.chip_timeline.size(), 2u);
-}
-
-TEST(ClusterScheduler, ShardParallelMatchesClusterEngineLatency) {
-  const graph::Dataset ds = make_test_dataset(40, 90, 41);
-  const core::GnnJob job =
-      core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8);
-  cluster::ClusterParams params;
-  params.num_chips = 2;
-  const core::AuroraConfig cfg = small_config();
-
-  cluster::ClusterEngine engine(cfg, params);
-  const Cycle engine_total = engine.run(ds, job).total_cycles;
-
-  cluster::ClusterScheduler scheduler(cfg, params);
-  const cluster::ClusterScheduleResult result = scheduler.run(
-      ds, {{job, "only"}}, cluster::DispatchMode::kShardParallel);
-  ASSERT_EQ(result.outcomes.size(), 1u);
-  EXPECT_EQ(result.outcomes[0].latency(), engine_total);
-  EXPECT_EQ(result.outcomes[0].metrics.total_cycles, engine_total);
-  EXPECT_EQ(result.makespan, engine_total);
-  EXPECT_GT(
-      result.outcomes[0].metrics.counters.get("cluster.halo_bytes_sent"), 0u);
+  // The CLI short forms (--mode=data|shard).
+  EXPECT_EQ(cluster::dispatch_mode_by_name("data"),
+            cluster::DispatchMode::kDataParallel);
+  EXPECT_EQ(cluster::dispatch_mode_by_name("shard"),
+            cluster::DispatchMode::kShardParallel);
+  EXPECT_FALSE(cluster::dispatch_mode_by_name("shardd").has_value());
+  EXPECT_FALSE(cluster::dispatch_mode_by_name("parallel").has_value());
+  EXPECT_FALSE(cluster::dispatch_mode_by_name("").has_value());
 }
 
 }  // namespace

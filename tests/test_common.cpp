@@ -373,6 +373,33 @@ TEST(Cli, GetUintValidates) {
   EXPECT_THROW((void)args.get_uint("junk", 1), Error);  // trailing garbage
   EXPECT_THROW((void)args.get_uint("big", 1), Error);   // > UINT32_MAX
   EXPECT_THROW((void)args.get_uint("chips", 1, 8, 64), Error);  // below min
+  // The same rules for text outside a flag (one CSV entry).
+  EXPECT_EQ(parse_uint("4294967295", "entry"), UINT32_MAX);
+  EXPECT_THROW((void)parse_uint("+4", "entry"), Error);  // sign
+  EXPECT_THROW((void)parse_uint(" 4", "entry"), Error);  // whitespace
+  EXPECT_THROW((void)parse_uint("", "entry"), Error);
+}
+
+TEST(Cli, GetBoolValidates) {
+  const char* argv[] = {"prog", "--bare",  "--on=1",   "--yes=yes",
+                        "--off=0", "--no=no", "--f=false", "--typo=flase",
+                        "--word=on"};
+  const CliArgs args(9, argv);
+  EXPECT_TRUE(args.get_bool("bare", false));
+  EXPECT_TRUE(args.get_bool("on", false));
+  EXPECT_TRUE(args.get_bool("yes", false));
+  EXPECT_FALSE(args.get_bool("off", true));
+  EXPECT_FALSE(args.get_bool("no", true));
+  EXPECT_FALSE(args.get_bool("f", true));
+  EXPECT_TRUE(args.get_bool("missing", true));
+  // Anything else throws, naming the flag.
+  EXPECT_THROW((void)args.get_bool("word", true), Error);
+  try {
+    (void)args.get_bool("typo", false);
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--typo=flase"), std::string::npos);
+  }
 }
 
 TEST(Check, ThrowsWithMessage) {

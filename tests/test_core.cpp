@@ -11,7 +11,6 @@
 #include "core/frontend.hpp"
 #include "sim/simulator.hpp"
 #include "core/functional_engine.hpp"
-#include "core/scheduler.hpp"
 #include "core/sub_accelerators.hpp"
 #include "gnn/reference.hpp"
 #include "graph/generators.hpp"
@@ -534,17 +533,6 @@ TEST(CycleEngine, MultiLayerJobAccumulates) {
                 accel.run_layer(ds, job.model, job.layers[1], 1).num_subgraphs);
 }
 
-TEST(CycleEngine, RunPendingDrainsDispatcher) {
-  AuroraConfig cfg = small_config();
-  AuroraAccelerator accel(cfg);
-  const auto ds = small_dataset(0.03);
-  accel.request_dispatcher().submit({gnn::GnnModel::kGcn, {16, 8}, 0});
-  accel.request_dispatcher().submit({gnn::GnnModel::kGin, {16, 8}, 0});
-  const auto results = accel.run_pending(ds);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_FALSE(accel.request_dispatcher().has_pending());
-}
-
 // ----------------------------------------------------------- analytic model
 
 TEST(AnalyticModel, AgreesWithCycleEngineWithinFactor) {
@@ -857,50 +845,6 @@ TEST(InstructionDispatcher, DrivesFullStream) {
   EXPECT_EQ(configures, 3u);  // one per subgraph
 }
 
-
-// ------------------------------------------------------------- scheduler
-
-TEST(Scheduler, SequencesRequestsWithOverlap) {
-  AuroraConfig cfg = small_config();
-  AuroraAccelerator accel(cfg);
-  Scheduler sched(accel);
-  const auto ds = small_dataset(0.05);
-
-  std::vector<ScheduledRequest> queue;
-  queue.push_back({GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 16),
-                   "gcn"});
-  queue.push_back({GnnJob::two_layer(gnn::GnnModel::kGin, ds.spec, 16),
-                   "gin"});
-  queue.push_back({GnnJob::two_layer(gnn::GnnModel::kAgnn, ds.spec, 16),
-                   "agnn"});
-  const ScheduleResult result = sched.run(ds, queue);
-
-  ASSERT_EQ(result.outcomes.size(), 3u);
-  // Requests finish in order and the makespan is the last finish.
-  for (std::size_t i = 1; i < result.outcomes.size(); ++i) {
-    EXPECT_GE(result.outcomes[i].finish_cycle,
-              result.outcomes[i - 1].finish_cycle);
-  }
-  EXPECT_EQ(result.makespan, result.outcomes.back().finish_cycle);
-  // Overlap saves cycles vs back-to-back.
-  Cycle back_to_back = 0;
-  for (const auto& o : result.outcomes) back_to_back += o.metrics.total_cycles;
-  EXPECT_LT(result.makespan, back_to_back);
-  EXPECT_GT(result.overlap_savings, 0u);
-  EXPECT_GT(result.avg_latency(), 0.0);
-}
-
-TEST(Scheduler, SingleRequestHasNoOverlap) {
-  AuroraConfig cfg = small_config();
-  AuroraAccelerator accel(cfg);
-  Scheduler sched(accel);
-  const auto ds = small_dataset(0.05);
-  std::vector<ScheduledRequest> queue;
-  queue.push_back({GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec), "only"});
-  const auto result = sched.run(ds, queue);
-  EXPECT_EQ(result.overlap_savings, 0u);
-  EXPECT_EQ(result.makespan, result.outcomes[0].metrics.total_cycles);
-}
 
 TEST(GnnJobPresets, DepthsFollowLiterature) {
   const auto& spec = graph::dataset_spec(graph::DatasetId::kCora);

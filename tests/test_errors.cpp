@@ -6,7 +6,6 @@
 #include "common/rng.hpp"
 #include "core/aurora.hpp"
 #include "core/functional_engine.hpp"
-#include "core/scheduler.hpp"
 #include "graph/generators.hpp"
 #include "noc/network.hpp"
 #include "pe/pe.hpp"
@@ -69,13 +68,6 @@ TEST(Errors, AcceleratorRejectsEmptyJob) {
   core::GnnJob empty;
   empty.model = gnn::GnnModel::kGcn;
   EXPECT_THROW((void)accel.run(ds, empty), Error);
-}
-
-TEST(Errors, SchedulerRejectsEmptyQueue) {
-  core::AuroraAccelerator accel(core::AuroraConfig::bench());
-  core::Scheduler sched(accel);
-  const auto ds = graph::make_dataset(graph::DatasetId::kCora, 0.03);
-  EXPECT_THROW((void)sched.run(ds, {}), Error);
 }
 
 TEST(Errors, FunctionalEngineRejectsShapeMismatch) {

@@ -276,7 +276,7 @@ TEST(Failover, DataParallelDispatchAvoidsDownChips) {
   const core::GnnJob job =
       core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8);
   const cluster::ClusterOutcome outcome =
-      scheduler.serve(ds, {job, "r0"}, cluster::DispatchMode::kDataParallel,
+      scheduler.serve(ds, job, "", cluster::DispatchMode::kDataParallel,
                       /*not_before=*/*when);
   EXPECT_FALSE(outcome.no_capacity);
   EXPECT_EQ(outcome.chip, 1u) << "dispatch picked the downed chip";
@@ -308,7 +308,7 @@ TEST(Failover, AllChipsPermanentlyDownReportsNoCapacity) {
   const core::GnnJob job =
       core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8);
   const cluster::ClusterOutcome outcome =
-      scheduler.serve(ds, {job, "r0"}, cluster::DispatchMode::kDataParallel,
+      scheduler.serve(ds, job, "", cluster::DispatchMode::kDataParallel,
                       /*not_before=*/all_dead_at);
   EXPECT_TRUE(outcome.no_capacity);
   EXPECT_TRUE(outcome.failed);
@@ -332,7 +332,7 @@ TEST(Failover, ShardParallelFallsBackToDataParallel) {
   const core::GnnJob job =
       core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8);
   const cluster::ClusterOutcome outcome =
-      scheduler.serve(ds, {job, "r0"}, cluster::DispatchMode::kShardParallel,
+      scheduler.serve(ds, job, "", cluster::DispatchMode::kShardParallel,
                       /*not_before=*/*when);
   // A gang chip is down at the probed start, so the request re-routes
   // through a data-parallel placement on the survivor.
@@ -355,7 +355,7 @@ TEST(Failover, EmptyPlanLeavesSchedulerBitIdentical) {
     std::vector<cluster::ClusterOutcome> outcomes;
     for (int i = 0; i < 3; ++i) {
       outcomes.push_back(scheduler.serve(
-          ds, {job, "r"}, cluster::DispatchMode::kDataParallel, 100 * i));
+          ds, job, "", cluster::DispatchMode::kDataParallel, 100 * i));
     }
     return outcomes;
   };

@@ -1,20 +1,24 @@
 // Tests for the open-loop serving subsystem: seed-deterministic arrival
 // processes, admission/shed accounting, EDF-with-fairness queue ordering,
-// dynamic-batching bit-identity, closed-loop equivalence with the
-// single-chip scheduler, and serial vs parallel-sim determinism.
+// dynamic-batching bit-identity, closed-loop replay equivalence with
+// chained engine runs, and serial vs parallel-sim determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/cluster_engine.hpp"
 #include "common/rng.hpp"
 #include "core/report.hpp"
+#include "core/scheduler.hpp"
 #include "graph/degree.hpp"
 #include "graph/generators.hpp"
 #include "serving/arrival.hpp"
 #include "serving/request_queue.hpp"
 #include "serving/serving_engine.hpp"
+#include "sim/component.hpp"
 
 namespace aurora {
 namespace {
@@ -204,52 +208,117 @@ std::vector<serving::ServingRequest> same_model_requests(
   return requests;
 }
 
-TEST(ServingEngine, MatchesSchedulerRunOnClosedLoopTrace) {
+TEST(ServingEngine, ClosedLoopReplayMatchesChainedEngineRuns) {
   const graph::Dataset ds = make_test_dataset(40, 90, 51);
   const core::AuroraConfig config = small_config();
-
-  // The reference: the single-chip scheduler replaying a mixed queue.
-  std::vector<core::ScheduledRequest> queue = {
-      {core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8), "gcn"},
-      {core::GnnJob::two_layer(gnn::GnnModel::kAgnn, ds.spec, 8), "agnn"},
-      {core::GnnJob::two_layer(gnn::GnnModel::kGin, ds.spec, 8), "gin"},
-      {core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8), "gcn2"},
+  const std::vector<std::pair<gnn::GnnModel, std::string>> queue = {
+      {gnn::GnnModel::kGcn, "gcn"},
+      {gnn::GnnModel::kAgnn, "agnn"},
+      {gnn::GnnModel::kGin, "gin"},
+      {gnn::GnnModel::kGcn, "gcn2"},
   };
-  core::AuroraAccelerator accelerator(config);
-  core::Scheduler scheduler(accelerator);
-  const core::ScheduleResult reference = scheduler.run(ds, queue);
 
-  // The serving engine on the same trace: all arrivals at cycle 0, no
-  // batching, one chip.
-  std::vector<serving::ServingRequest> requests;
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    serving::ServingRequest r;
-    r.id = i;
-    r.job = queue[i].job;
-    r.label = queue[i].label;
-    requests.push_back(std::move(r));
-  }
-  cluster::ClusterParams cluster_params;
-  cluster_params.num_chips = 1;
-  serving::ServingEngine engine(config, cluster_params,
-                                closed_loop_params());
-  const serving::ServingReport report = engine.replay(ds, requests);
+  struct Expected {
+    std::uint32_t chip = 0;
+    Cycle start = 0;
+    Cycle finish = 0;
+    Cycle overlap = 0;
+    core::RunMetrics metrics;
+  };
+  // The reference: a fresh engine run per request, placed by hand on the
+  // least-loaded chip (ties to the lowest index) and started as early as
+  // the overlap helpers allow.
+  const auto chain = [&](std::uint32_t chips, cluster::DispatchMode mode) {
+    const bool data = mode == cluster::DispatchMode::kDataParallel;
+    std::vector<core::ChipTimeline> timelines(data ? chips : 1);
+    std::vector<Expected> expected;
+    for (const auto& [model, label] : queue) {
+      const core::GnnJob job = core::GnnJob::two_layer(model, ds.spec, 8);
+      Expected e;
+      Cycle lead = 0;
+      Cycle tail = 0;
+      if (data) {
+        core::AuroraAccelerator fresh(config);
+        e.metrics = fresh.run(ds, job);
+        lead = core::lead_dram_cycles(e.metrics);
+        tail = core::tail_compute_cycles(e.metrics);
+      } else {
+        cluster::ClusterParams cluster_params;
+        cluster_params.num_chips = chips;
+        cluster::ClusterEngine engine(config, cluster_params);
+        const cluster::ClusterRunMetrics run = engine.run(ds, job);
+        e.metrics.total_cycles = run.total_cycles;
+        lead = tail = sim::kNoEvent;
+        for (const cluster::ChipRun& chip : run.chips) {
+          lead = std::min(lead, core::lead_dram_cycles(chip.metrics));
+          tail = std::min(tail, core::tail_compute_cycles(chip.metrics));
+        }
+      }
+      for (std::uint32_t c = 1; c < timelines.size(); ++c) {
+        if (timelines[c].busy_until < timelines[e.chip].busy_until) e.chip = c;
+      }
+      core::ChipTimeline& timeline = timelines[e.chip];
+      e.overlap = std::min(timeline.prev_compute_tail, lead);
+      e.start = timeline.busy_until - e.overlap;
+      e.finish = e.start + e.metrics.total_cycles;
+      timeline = {e.finish, tail};
+      expected.push_back(std::move(e));
+    }
+    return expected;
+  };
 
-  ASSERT_EQ(report.served.size(), reference.outcomes.size());
-  EXPECT_EQ(report.shed, 0u);
-  for (std::size_t i = 0; i < report.served.size(); ++i) {
-    const auto& served = report.served[i];
-    const auto& ref = reference.outcomes[i];
-    EXPECT_EQ(served.label, ref.label);
-    EXPECT_EQ(served.start, ref.start_cycle);
-    EXPECT_EQ(served.finish, ref.finish_cycle);
-    EXPECT_EQ(served.overlap_hidden, ref.overlap_hidden);
-    const auto diff = core::diff_run_metrics(served.metrics, ref.metrics);
-    EXPECT_TRUE(diff.empty())
-        << served.label << ": " << (diff.empty() ? "" : diff.front());
+  for (const auto& [chips, mode] :
+       std::vector<std::pair<std::uint32_t, cluster::DispatchMode>>{
+           {1, cluster::DispatchMode::kDataParallel},
+           {2, cluster::DispatchMode::kDataParallel},
+           {2, cluster::DispatchMode::kShardParallel}}) {
+    SCOPED_TRACE(std::to_string(chips) + " chip(s), " +
+                 cluster::dispatch_mode_name(mode));
+    const std::vector<Expected> expected = chain(chips, mode);
+
+    // The serving engine on the same queue: all arrivals at cycle 0, no
+    // batching, an unbounded queue.
+    std::vector<serving::ServingRequest> requests;
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      serving::ServingRequest r;
+      r.id = i;
+      r.job = core::GnnJob::two_layer(queue[i].first, ds.spec, 8);
+      r.label = queue[i].second;
+      requests.push_back(std::move(r));
+    }
+    serving::ServingParams params = closed_loop_params();
+    params.mode = mode;
+    cluster::ClusterParams cluster_params;
+    cluster_params.num_chips = chips;
+    serving::ServingEngine engine(config, cluster_params, params);
+    const serving::ServingReport report =
+        engine.replay(ds, std::move(requests));
+
+    ASSERT_EQ(report.served.size(), expected.size());
+    EXPECT_EQ(report.shed, 0u);
+    Cycle savings = 0;
+    Cycle makespan = 0;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const serving::ServedRequest& served = report.served[i];
+      const Expected& e = expected[i];
+      EXPECT_EQ(served.label, queue[i].second);
+      EXPECT_EQ(served.chip, e.chip) << served.label;
+      EXPECT_EQ(served.start, e.start) << served.label;
+      EXPECT_EQ(served.finish, e.finish) << served.label;
+      EXPECT_EQ(served.overlap_hidden, e.overlap) << served.label;
+      if (mode == cluster::DispatchMode::kDataParallel) {
+        const auto diff = core::diff_run_metrics(served.metrics, e.metrics);
+        EXPECT_TRUE(diff.empty())
+            << served.label << ": " << (diff.empty() ? "" : diff.front());
+      } else {
+        EXPECT_EQ(served.metrics.total_cycles, e.metrics.total_cycles);
+      }
+      savings += e.overlap;
+      makespan = std::max(makespan, e.finish);
+    }
+    EXPECT_EQ(report.horizon, makespan);
+    EXPECT_EQ(report.overlap_savings, savings);
   }
-  EXPECT_EQ(report.horizon, reference.makespan);
-  EXPECT_EQ(report.overlap_savings, reference.overlap_savings);
 }
 
 TEST(ServingEngine, BatchingSavesExactlyTheSkippedReconfigurations) {
