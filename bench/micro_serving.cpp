@@ -24,13 +24,14 @@
 //   {"bench": "serving_faults", "chips": ..., "points": [...]}
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "core/aurora.hpp"
+#include "core/report.hpp"
 #include "graph/generators.hpp"
+#include "scenario/scenario.hpp"
 #include "serving/serving_engine.hpp"
 
 namespace {
@@ -63,33 +64,18 @@ bool conserved(const serving::ServingReport& r, double x_value,
   return false;
 }
 
-/// Deliver the bench's JSON line: to --out (printing the artifact path on
-/// stdout so callers and logs know where it landed), or to stdout when no
-/// path was given.
+/// Prints the bench's JSON line, or writes it to --out and prints the path.
 int emit_json(const std::string& json, const std::string& out_path) {
   if (out_path.empty()) {
     std::printf("%s\n", json.c_str());
-    return EXIT_SUCCESS;
+  } else {
+    core::write_json_file(out_path, json);
+    std::printf("wrote %s\n", out_path.c_str());
   }
-  std::ofstream out(out_path);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "FAIL: cannot write artifact: %s\n",
-                 out_path.c_str());
-    return EXIT_FAILURE;
-  }
-  out << json << '\n';
-  if (!out) {
-    std::fprintf(stderr, "FAIL: artifact write failed: %s\n",
-                 out_path.c_str());
-    return EXIT_FAILURE;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
   return EXIT_SUCCESS;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv,
                      {"scale", "hidden", "requests", "rate", "slo-us",
                       "chips", "mode", "seed", "queue-depth", "max-batch",
@@ -97,35 +83,21 @@ int main(int argc, char** argv) {
                       "max-retries", "out"});
   const double scale = args.get_double("scale", 0.02, 1e-6, 100.0);
   const std::uint32_t hidden = args.get_uint("hidden", 16, 1);
-  const std::uint32_t chips = args.get_uint("chips", 1, 1);
-  const std::string mode_arg = args.get_string("mode", "data");
-  const auto mode = cluster::dispatch_mode_by_name(mode_arg);
-  if (!mode.has_value()) {
-    std::fprintf(stderr,
-                 "unknown --mode=%s (accepted: data, shard, data-parallel, "
-                 "shard-parallel)\n",
-                 mode_arg.c_str());
-    return EXIT_FAILURE;
-  }
-  const double slo_us = args.get_double("slo-us", 800.0, 0.0, 1e9);
-  const double base_rate = args.get_double("rate", 2000.0, 1e-3, 1e12);
-  const bool faults_on = args.has("faults");
+  const std::string out_path = args.get_string("out", "");
+  const scenario::ClusterScenario cluster = scenario::read_cluster(args);
+  const std::uint32_t chips = cluster.params.num_chips;
+  const core::AuroraConfig config = core::AuroraConfig::bench();
+  scenario::ServingScenario s = scenario::read_serving(
+      args, scenario::Arrivals::kPoisson,
+      {.requests = 24, .queue_depth = 16, .rate_rps = 2000.0, .slo_us = 800.0},
+      cluster.mode, config.frequency_mhz);
+  scenario::read_faults(args, config.frequency_mhz, s);
+  args.reject_unread(s.faults ? "a fault sweep"
+                              : "a rate sweep without --faults");
+  serving::ServingParams& params = s.params;
 
   const graph::Dataset ds =
       graph::make_dataset(graph::DatasetId::kPubmed, scale);
-  const core::AuroraConfig config = core::AuroraConfig::bench();
-
-  cluster::ClusterParams cluster_params;
-  cluster_params.num_chips = chips;
-
-  serving::ServingParams params;
-  params.seed = args.get_uint("seed", 1);
-  params.num_requests = args.get_uint("requests", 24, 1);
-  params.queue_depth = args.get_uint("queue-depth", 16);
-  params.max_batch = args.get_uint("max-batch", 4, 1);
-  params.num_tenants = args.get_uint("tenants", 2, 1);
-  params.slo_cycles = static_cast<Cycle>(slo_us * config.frequency_mhz);
-  params.mode = *mode;
 
   const std::vector<serving::ModelMixEntry> mix = {
       {core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, hidden), "gcn",
@@ -134,37 +106,23 @@ int main(int argc, char** argv) {
        "agnn", 1.0, 0},
   };
 
-  if (faults_on) {
+  if (s.faults) {
     // Availability sweep: fixed rate, geometric MTBF ladder. Shorter MTBF
     // means more mid-flight failures; the retry path keeps completions up
     // until the fault rate overwhelms the backoff budget.
-    params.arrival.rate_per_mcycle = base_rate / config.frequency_mhz;
-    params.faults.seed = args.get_string("faults", "") == "true"
-                             ? 1
-                             : args.get_uint("faults", 1);
-    const double base_mtbf_us = args.get_double("mtbf-us", 400.0, 0.1, 1e9);
-    const double mttr_us = args.get_double("mttr-us", 60.0, 0.0, 1e9);
-    params.max_retries = args.get_uint("max-retries", 3);
-    params.proactive_shedding = true;
-    const double expected_cycles = static_cast<double>(params.num_requests) /
-                                   base_rate * config.frequency_mhz * 1e6;
-    params.faults.horizon =
-        static_cast<Cycle>(expected_cycles * 8.0) + 1000000;
-    params.faults.chip_mttr = mttr_us * config.frequency_mhz;
-
     std::fprintf(stderr,
                  "serving fault sweep: %u chip(s), %s, %.0f req/s, MTTR "
                  "%.0f us, %llu requests per point\n",
-                 chips, cluster::dispatch_mode_name(params.mode), base_rate,
-                 mttr_us,
+                 chips, cluster::dispatch_mode_name(params.mode), s.rate_rps,
+                 s.mttr_us,
                  static_cast<unsigned long long>(params.num_requests));
     std::vector<Point> points;
     for (const double mult : {4.0, 2.0, 1.0, 0.5, 0.25}) {
       Point point;
-      point.rate_rps = base_rate;
-      point.mtbf_us = base_mtbf_us * mult;
+      point.rate_rps = s.rate_rps;
+      point.mtbf_us = s.mtbf_us * mult;
       params.faults.chip_mtbf = point.mtbf_us * config.frequency_mhz;
-      serving::ServingEngine engine(config, cluster_params, params);
+      serving::ServingEngine engine(config, cluster.params, params);
       point.report = engine.run(ds, mix);
       const auto& r = point.report;
       if (!conserved(r, point.mtbf_us, "mtbf_us")) return EXIT_FAILURE;
@@ -185,8 +143,8 @@ int main(int argc, char** argv) {
     std::string json = "{\"bench\": \"serving_faults\", \"chips\": " +
                        std::to_string(chips) + ", \"mode\": \"" +
                        cluster::dispatch_mode_name(params.mode) +
-                       "\", \"rate_rps\": " + std::to_string(base_rate) +
-                       ", \"slo_us\": " + std::to_string(slo_us) +
+                       "\", \"rate_rps\": " + std::to_string(s.rate_rps) +
+                       ", \"slo_us\": " + std::to_string(s.slo_us) +
                        ", \"points\": [";
     char buf[512];
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -208,19 +166,19 @@ int main(int argc, char** argv) {
       json += buf;
     }
     json += "]}";
-    return emit_json(json, args.get_string("out", ""));
+    return emit_json(json, out_path);
   }
 
   std::fprintf(stderr,
                "serving sweep: %u chip(s), %s, SLO %.0f us, %llu requests "
                "per point\n",
-               chips, cluster::dispatch_mode_name(params.mode), slo_us,
+               chips, cluster::dispatch_mode_name(params.mode), s.slo_us,
                static_cast<unsigned long long>(params.num_requests));
   std::vector<Point> points;
   for (const double mult : {0.25, 0.5, 1.0, 2.0, 4.0}) {
-    const double rate_rps = base_rate * mult;
+    const double rate_rps = s.rate_rps * mult;
     params.arrival.rate_per_mcycle = rate_rps / config.frequency_mhz;
-    serving::ServingEngine engine(config, cluster_params, params);
+    serving::ServingEngine engine(config, cluster.params, params);
     Point point;
     point.rate_rps = rate_rps;
     point.report = engine.run(ds, mix);
@@ -238,7 +196,7 @@ int main(int argc, char** argv) {
   std::string json = "{\"bench\": \"serving\", \"chips\": " +
                      std::to_string(chips) + ", \"mode\": \"" +
                      cluster::dispatch_mode_name(params.mode) +
-                     "\", \"slo_us\": " + std::to_string(slo_us) +
+                     "\", \"slo_us\": " + std::to_string(s.slo_us) +
                      ", \"points\": [";
   char buf[512];
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -259,5 +217,11 @@ int main(int argc, char** argv) {
     json += buf;
   }
   json += "]}";
-  return emit_json(json, args.get_string("out", ""));
+  return emit_json(json, out_path);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return scenario::guarded_main(argc, argv, run);
 }

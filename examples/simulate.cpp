@@ -1,57 +1,57 @@
 // The full-featured simulator driver: pick a dataset (built-in or your own
 // edge list), a GNN model, a chip configuration (flags or INI file), an
-// execution engine, and get tables plus an optional JSON report.
+// execution engine, and get tables plus optional JSON reports and traces.
 //
 //   ./examples/simulate --dataset=cora --model=GCN --scale=0.1
 //   ./examples/simulate --graph=my_edges.txt --model=GIN --mode=analytic
-//   ./examples/simulate --config=chip.ini --json=out.json --all-models
+//   ./examples/simulate --config=chip.ini --metrics-out=out.json --all-models
 //   ./examples/simulate --print-config        # dump the default chip INI
+//
+// A flag the chosen run does not use is an error: --scale or --seed with
+// --graph, --features without it, --what-if without --critpath.
+#include <cctype>
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "baselines/baseline.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/aurora.hpp"
 #include "core/config_io.hpp"
-#include "baselines/baseline.hpp"
-#include "core/report.hpp"
-#include "profile/critpath.hpp"
-#include "sim/perfetto.hpp"
-#include "sim/sampler.hpp"
-#include "sim/trace.hpp"
 #include "graph/io.hpp"
+#include "scenario/scenario.hpp"
+#include "sim/sampler.hpp"
 
 namespace {
 
 using namespace aurora;
 
-std::optional<graph::DatasetId> dataset_by_name(const std::string& name) {
+graph::DatasetId dataset_by_name(const std::string& name) {
   for (graph::DatasetId id : graph::kAllDatasets) {
     std::string n = graph::dataset_name(id);
     for (char& ch : n) ch = static_cast<char>(std::tolower(ch));
     if (n == name) return id;
   }
-  return std::nullopt;
+  throw Error("unknown dataset '" + name + "'");
 }
 
-std::optional<gnn::GnnModel> model_by_name(const std::string& name) {
+gnn::GnnModel model_by_name(const std::string& name) {
   for (gnn::GnnModel m : gnn::kAllModels) {
     if (name == gnn::model_name(m)) return m;
   }
-  return std::nullopt;
+  throw Error("unknown model '" + name + "' (try --all-models)");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const CliArgs args(
       argc, argv,
       {"help", "dataset", "graph", "scale", "model", "all-models", "hidden",
-       "mode", "mapping", "config", "paper-chip", "json", "trace",
-       "trace-out", "metrics-out", "sample-interval", "counters", "critpath",
+       "mode", "mapping", "config", "paper-chip", "trace", "trace-out",
+       "metrics-out", "sample-interval", "counters", "critpath",
        "critpath-out", "what-if", "allow-truncated-trace", "baselines",
        "print-config", "features", "seed"});
 
@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
         "  --mapping=<degree-aware|hashing>\n"
         "  --config=<path.ini>    chip configuration file\n"
         "  --paper-chip           use the 32x32/100MB paper chip\n"
-        "  --json=<path>          write a JSON report\n"
         "  --trace                print an ASCII event timeline (cycle mode)\n"
         "  --trace-out=<path>     write a Chrome/Perfetto trace JSON (cycle\n"
         "                         mode; open in ui.perfetto.dev)\n"
@@ -107,32 +106,53 @@ int main(int argc, char** argv) {
         args.get_string("mapping", ""), "--mapping");
   }
   if (args.get_bool("print-config", false)) {
+    args.reject_unread("--print-config");
     std::fputs(core::config_to_ini(config).c_str(), stdout);
     return 0;
   }
 
-  // ---- dataset --------------------------------------------------------------
-  graph::Dataset ds;
+  // ---- every other flag, read before any work ------------------------------
   const std::string graph_path = args.get_string("graph", "");
-  if (!graph_path.empty()) {
+  graph::Dataset ds;
+  graph::DatasetId dataset_id{};
+  double scale = 0.0;
+  std::uint32_t seed = 0;
+  if (graph_path.empty()) {
+    dataset_id = dataset_by_name(args.get_string("dataset", "cora"));
+    scale = args.get_double(
+        "scale", config.mode == core::SimMode::kCycleAccurate ? 0.1 : 1.0,
+        1e-6, 100.0);
+    seed = args.get_uint("seed", 7);
+  } else {
     ds.spec.name = "custom";
-    ds.spec.feature_dim =
-        args.get_uint("features", 64, 1);
+    ds.spec.feature_dim = args.get_uint("features", 64, 1);
     ds.spec.feature_density = 1.0;
     ds.spec.num_classes = 8;
+  }
+  std::vector<gnn::GnnModel> models;
+  if (args.get_bool("all-models", false)) {
+    models.assign(gnn::kAllModels.begin(), gnn::kAllModels.end());
+  } else {
+    models.push_back(model_by_name(args.get_string("model", "GCN")));
+  }
+  const auto hidden = args.get_uint("hidden", 16, 1);
+  const bool run_baselines = args.get_bool("baselines", false);
+  const bool dump_counters = args.get_bool("counters", false);
+  scenario::Artifacts artifacts(args, args.get_bool("trace", false));
+  // Exporting a trace without any counter track would be a hollow timeline,
+  // so --trace-out turns sampling on at a default interval unless the user
+  // chose one (or explicitly disabled it with --sample-interval=0).
+  const std::uint32_t sample_interval = args.get_uint(
+      "sample-interval", artifacts.trace_out().empty() ? 0 : 64);
+  args.reject_unread(graph_path.empty() ? "a built-in dataset run"
+                                        : "a --graph run");
+
+  // ---- dataset --------------------------------------------------------------
+  if (graph_path.empty()) {
+    ds = graph::make_dataset(dataset_id, scale, seed);
+  } else {
     ds.graph = graph::load_edge_list(graph_path);
     ds.degree_stats = graph::compute_degree_stats(ds.graph);
-  } else {
-    const std::string name = args.get_string("dataset", "cora");
-    const auto id = dataset_by_name(name);
-    if (!id.has_value()) {
-      std::fprintf(stderr, "unknown dataset '%s'\n", name.c_str());
-      return 1;
-    }
-    const double default_scale =
-        config.mode == core::SimMode::kCycleAccurate ? 0.1 : 1.0;
-    ds = graph::make_dataset(*id, args.get_double("scale", default_scale, 1e-6, 100.0),
-                             args.get_uint("seed", 7));
   }
   std::printf("dataset %s: %u vertices, %llu directed edges, mean degree "
               "%.1f, gini %.2f\n",
@@ -148,43 +168,14 @@ int main(int argc, char** argv) {
                   ? "degree-aware"
                   : "hashing");
 
-  // ---- models ----------------------------------------------------------------
-  std::vector<gnn::GnnModel> models;
-  if (args.get_bool("all-models", false)) {
-    models.assign(gnn::kAllModels.begin(), gnn::kAllModels.end());
-  } else {
-    const std::string name = args.get_string("model", "GCN");
-    const auto model = model_by_name(name);
-    if (!model.has_value()) {
-      std::fprintf(stderr, "unknown model '%s' (try --all-models)\n",
-                   name.c_str());
-      return 1;
-    }
-    models.push_back(*model);
-  }
-
   // ---- run --------------------------------------------------------------------
   core::AuroraAccelerator accel(config);
-  sim::Tracer tracer;
-  const std::string trace_out = args.get_string("trace-out", "");
-  const std::string critpath_out = args.get_string("critpath-out", "");
-  const bool critpath =
-      args.get_bool("critpath", false) || !critpath_out.empty();
-  if (args.get_bool("trace", false) || !trace_out.empty() || critpath) {
-    tracer.enable();
-    accel.set_tracer(&tracer);
-  }
-  // Exporting a trace without any counter track would be a hollow timeline,
-  // so --trace-out turns sampling on at a default interval unless the user
-  // chose one (or explicitly disabled it with --sample-interval=0).
-  const std::uint32_t sample_interval =
-      args.get_uint("sample-interval", trace_out.empty() ? 0 : 64);
+  accel.set_tracer(artifacts.tracer());
   std::optional<sim::Sampler> sampler;
   if (sample_interval > 0) {
     sampler.emplace(static_cast<Cycle>(sample_interval));
     accel.set_sampler(&*sampler);
   }
-  const auto hidden = args.get_uint("hidden", 16, 1);
   AsciiTable table({"model", "a:b", "tiles", "cycles", "time (us)", "DRAM",
                     "avg hops", "energy (uJ)"});
   std::vector<core::NamedRun> runs;
@@ -202,44 +193,9 @@ int main(int argc, char** argv) {
     runs.push_back({gnn::model_name(model), ds.spec.name, m});
   }
   table.print();
+  artifacts.emit(runs, sampler.has_value() ? &*sampler : nullptr);
 
-  // Loud truncation warning: an overflowed ring buffer means any post-run
-  // analysis only sees a suffix of the execution.
-  if (tracer.enabled() && tracer.dropped() > 0) {
-    std::fprintf(stderr,
-                 "WARNING: trace ring buffer overflowed, %llu records "
-                 "dropped — raise the tracer capacity or shrink the "
-                 "workload\n",
-                 static_cast<unsigned long long>(tracer.dropped()));
-  }
-  // Published unconditionally: a truncated trace taints every downstream
-  // artifact, not just runs without --critpath (which used to silently
-  // drop this counter from the metrics report).
-  if (tracer.enabled() && !runs.empty()) {
-    runs.back().metrics.counters.inc("trace.dropped_records",
-                                     tracer.dropped());
-  }
-  std::optional<profile::CritPathReport> critpath_report;
-  if (critpath) {
-    profile::AnalyzeOptions opts;
-    opts.allow_truncated = args.get_bool("allow-truncated-trace", false);
-    const std::string what_if = args.get_string("what-if", "");
-    opts.scenarios = what_if.empty()
-                         ? profile::default_what_if_scenarios()
-                         : profile::parse_what_if_list(what_if);
-    try {
-      critpath_report = profile::analyze_critical_path(tracer, opts);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "critical-path analysis failed: %s\n", e.what());
-      return 1;
-    }
-    if (!runs.empty()) {
-      profile::export_critpath_counters(*critpath_report,
-                                        runs.back().metrics.counters);
-    }
-  }
-
-  if (args.get_bool("baselines", false)) {
+  if (run_baselines) {
     std::printf("\nbaseline accelerators (same workload, normalized chip):\n");
     const auto chip = baselines::chip_params_matching(
         config.array_dim, config.pe.datapath.num_multipliers,
@@ -263,7 +219,7 @@ int main(int argc, char** argv) {
     bl.print();
   }
 
-  if (args.get_bool("counters", false) && !runs.empty()) {
+  if (dump_counters && !runs.empty()) {
     std::printf("\ncomponent counters (last run):\n");
     for (const auto& [name, value] : runs.back().metrics.counters.all()) {
       std::printf("  %-26s %llu\n", name.c_str(),
@@ -271,36 +227,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (tracer.enabled() && tracer.size() > 0) {
+  if (const sim::Tracer* tracer = artifacts.tracer();
+      tracer != nullptr && tracer->size() > 0) {
     std::printf("\nevent timeline (last run):\n%s",
-                tracer.render_timeline().c_str());
-  }
-
-  if (critpath_report.has_value()) {
-    std::printf("\n%s",
-                profile::format_attribution_table(*critpath_report).c_str());
-  }
-
-  const std::string json_path = args.get_string("json", "");
-  if (!json_path.empty()) {
-    core::write_json_file(json_path, core::runs_to_json(runs));
-    std::printf("\nJSON report: %s\n", json_path.c_str());
-  }
-  if (!trace_out.empty()) {
-    sim::write_perfetto_trace(trace_out, tracer,
-                              sampler.has_value() ? &*sampler : nullptr);
-    std::printf("\nPerfetto trace: %s (open in ui.perfetto.dev)\n",
-                trace_out.c_str());
-  }
-  const std::string metrics_out = args.get_string("metrics-out", "");
-  if (!metrics_out.empty()) {
-    core::write_json_file(metrics_out, core::runs_to_json(runs));
-    std::printf("metrics JSON: %s\n", metrics_out.c_str());
-  }
-  if (!critpath_out.empty()) {
-    core::write_json_file(critpath_out,
-                          profile::critpath_report_json(*critpath_report));
-    std::printf("critical-path JSON: %s\n", critpath_out.c_str());
+                tracer->render_timeline().c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return scenario::guarded_main(argc, argv, run);
 }

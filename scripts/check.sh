@@ -224,10 +224,14 @@ cmake -B build-tsan -S . -DAURORA_SANITIZE=thread
 cmake --build build-tsan -j --target test_cluster test_scheduler test_common \
   test_sim serving
 ctest --test-dir build-tsan -L cluster --output-on-failure -j
-# Fault injection on the multi-threaded fan-out: a shard-parallel serving
-# run with chip faults (retry/failover over parallel per-chip runs).
-./build-tsan/examples/serving --scale=0.02 --requests=4 --hidden=16 \
-  --chips=2 --mode=shard --parallel-sim --faults=3 --mtbf-us=300 \
-  --mttr-us=60
+# Fault injection on the multi-threaded fan-out: an open-loop shard-parallel
+# serving run with chip faults, so retry and failover run over parallel
+# per-chip runs. The pins prove the faults fired.
+./build-tsan/examples/serving --scale=0.02 --requests=16 --hidden=16 \
+  --chips=2 --mode=shard --parallel-sim --arrival=poisson --rate=150000 \
+  --slo-us=800 --faults=3 --mtbf-us=300 --mttr-us=60 \
+  --serving-out="$obs_dir/serving_tsan.json"
+check_serving_json "$obs_dir/serving_tsan.json" failed_attempts=8 retries=8 \
+  failed_over=5
 
 echo "check.sh: all green"

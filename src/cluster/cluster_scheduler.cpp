@@ -33,13 +33,15 @@ const char* dispatch_mode_name(DispatchMode m) {
   throw Error("invalid DispatchMode");
 }
 
-std::optional<DispatchMode> dispatch_mode_by_name(const std::string& name) {
+DispatchMode dispatch_mode_by_name(const std::string& name,
+                                   const std::string& what) {
   for (DispatchMode mode :
        {DispatchMode::kDataParallel, DispatchMode::kShardParallel}) {
     const std::string full = dispatch_mode_name(mode);
     if (name == full || name + "-parallel" == full) return mode;
   }
-  return std::nullopt;
+  throw Error("unknown " + what + "=" + name +
+              " (accepted: data, shard, data-parallel, shard-parallel)");
 }
 
 ClusterScheduler::ClusterScheduler(const core::AuroraConfig& config,

@@ -34,9 +34,10 @@ enum class DispatchMode : std::uint8_t {
 };
 
 [[nodiscard]] const char* dispatch_mode_name(DispatchMode m);
-/// Parses a dispatch_mode_name() or its CLI short form (`data`, `shard`).
-[[nodiscard]] std::optional<DispatchMode> dispatch_mode_by_name(
-    const std::string& name);
+/// Parses a dispatch_mode_name() or its CLI short form (`data`, `shard`);
+/// anything else throws Error naming `what` (e.g. `--mode`).
+[[nodiscard]] DispatchMode dispatch_mode_by_name(const std::string& name,
+                                                 const std::string& what);
 
 struct ClusterOutcome {
   /// Data-parallel: the serving chip's metrics. Shard-parallel: all chips'

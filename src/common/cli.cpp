@@ -1,9 +1,6 @@
 #include "common/cli.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 
 #include "common/error.hpp"
 
@@ -51,72 +48,59 @@ std::vector<std::string> CliArgs::unknown_flags(
   return unknown;
 }
 
+void CliArgs::reject_unread(const std::string& path) const {
+  std::string unread;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) unread += " --" + name;
+  }
+  if (!unread.empty()) throw Error(path + " does not use" + unread);
+}
+
+const std::string* CliArgs::value(const std::string& name) const {
+  read_.insert(name);
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 bool CliArgs::has(const std::string& name) const {
   return values_.count(name) > 0;
 }
 
 std::string CliArgs::get_string(const std::string& name,
                                 const std::string& fallback) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* text = value(name);
+  return text == nullptr ? fallback : *text;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback,
                            double min, double max) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) {
+  const std::string* text = value(name);
+  if (text == nullptr) {
     AURORA_CHECK_MSG(fallback >= min && fallback <= max,
                      "--" << name << " default " << fallback
                           << " outside [" << min << ", " << max << "]");
     return fallback;
   }
-  const std::string& text = it->second;
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(text.c_str(), &end);
-  AURORA_CHECK_MSG(end != text.c_str() && *end == '\0' && errno == 0,
-                   "--" << name << "=" << text << " is not a number");
-  AURORA_CHECK_MSG(std::isfinite(parsed),
-                   "--" << name << "=" << text << " must be finite");
-  AURORA_CHECK_MSG(parsed >= min && parsed <= max,
-                   "--" << name << "=" << text << " outside [" << min << ", "
-                        << max << "]");
-  return parsed;
+  return parse_double(*text, "--" + name + "=" + *text, min, max);
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
-  if (text == "true" || text == "1" || text == "yes") return true;
-  if (text == "false" || text == "0" || text == "no") return false;
-  throw Error("--" + name + "=" + text +
-              " is not a boolean (accepted: true, false, 1, 0, yes, no)");
+  const std::string* text = value(name);
+  return text == nullptr ? fallback
+                         : parse_bool(*text, "--" + name + "=" + *text);
 }
 
 std::uint32_t CliArgs::get_uint(const std::string& name,
                                 std::uint32_t fallback, std::uint32_t min,
                                 std::uint32_t max) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) {
+  const std::string* text = value(name);
+  if (text == nullptr) {
     AURORA_CHECK_MSG(fallback >= min && fallback <= max,
                      "--" << name << " default " << fallback
                           << " outside [" << min << ", " << max << "]");
     return fallback;
   }
-  return parse_uint(it->second, "--" + name + "=" + it->second, min, max);
-}
-
-std::uint32_t parse_uint(const std::string& text, const std::string& what,
-                         std::uint32_t min, std::uint32_t max) {
-  AURORA_CHECK_MSG(
-      !text.empty() && text.find_first_not_of("0123456789") == std::string::npos,
-      what << " is not an unsigned integer");
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(text.c_str(), nullptr, 10);
-  AURORA_CHECK_MSG(errno == 0 && parsed >= min && parsed <= max,
-                   what << " outside [" << min << ", " << max << "]");
-  return static_cast<std::uint32_t>(parsed);
+  return parse_uint(*text, "--" + name + "=" + *text, min, max);
 }
 
 }  // namespace aurora

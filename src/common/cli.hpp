@@ -5,8 +5,11 @@
 #include <initializer_list>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
+
+#include "common/strings.hpp"
 
 namespace aurora {
 
@@ -15,8 +18,9 @@ namespace aurora {
 /// self-describing.
 ///
 /// Mains pass their accepted flag list so a typo (`--critpath-oot=x`)
-/// errors with the accepted flags instead of silently no-opping — unknown
-/// flags used to be stored and never read.
+/// errors with the accepted flags instead of silently no-opping. Values go
+/// through the strict parse_* rules of common/strings.hpp, the same rules
+/// INI keys follow, and each error names the offending flag.
 class CliArgs {
  public:
   /// Parse without a known-flag check (library/test use).
@@ -29,22 +33,15 @@ class CliArgs {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
-  /// Strict double flag: rejects non-numeric values, trailing garbage
-  /// (`--rate=1.5x` used to parse as 1.5), NaN/infinity, and values outside
-  /// [min, max]. Throws Error naming the offending flag. The fallback is
-  /// range-checked too, so a main cannot ship an out-of-range default.
+  /// parse_double within [min, max]. The fallback is range-checked too, so
+  /// a main cannot ship an out-of-range default.
   [[nodiscard]] double get_double(
       const std::string& name, double fallback,
       double min = std::numeric_limits<double>::lowest(),
       double max = std::numeric_limits<double>::max()) const;
-  /// Strict boolean flag: a bare `--name` or `true|1|yes` is true,
-  /// `false|0|no` is false; anything else (`--critpath=on`) throws Error
-  /// naming the flag, so a typo cannot silently switch a feature off.
+  /// A bare `--name` is true; a value follows parse_bool.
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
-  /// Strict unsigned flag (the parse_uint rules): rejects negatives (which
-  /// used to wrap through static_cast<uint32_t>, e.g. `--chips=-1`),
-  /// non-numeric values, and values outside [min, max]. Throws Error with
-  /// the offending flag.
+  /// parse_uint within [min, max]; the fallback is range-checked too.
   [[nodiscard]] std::uint32_t get_uint(const std::string& name,
                                        std::uint32_t fallback,
                                        std::uint32_t min = 0,
@@ -55,17 +52,18 @@ class CliArgs {
   [[nodiscard]] std::vector<std::string> unknown_flags(
       std::initializer_list<const char*> known) const;
 
- private:
-  std::map<std::string, std::string> values_;
-};
+  /// Throws Error when a flag on the command line was never read by a
+  /// get_*: "<path> does not use --faults". A main that picks one of
+  /// several paths reads that path's flags, then calls this before running,
+  /// so a flag the path ignores fails loudly.
+  void reject_unread(const std::string& path) const;
 
-/// Strict unsigned parse behind CliArgs::get_uint, for any unsigned text
-/// (e.g. one entry of a comma-separated flag): decimal digits only — no
-/// sign, whitespace or trailing characters — within [min, max]. Throws
-/// Error naming `what`.
-[[nodiscard]] std::uint32_t parse_uint(const std::string& text,
-                                       const std::string& what,
-                                       std::uint32_t min = 0,
-                                       std::uint32_t max = UINT32_MAX);
+ private:
+  /// The flag's value, or nullptr when absent; marks the flag read.
+  [[nodiscard]] const std::string* value(const std::string& name) const;
+
+  std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
+};
 
 }  // namespace aurora

@@ -1,7 +1,9 @@
-// Small string/formatting helpers shared by benches and reports.
+// Small string/formatting helpers shared by benches and reports, and the
+// strict value parsing shared by CLI flags and INI keys.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace aurora {
@@ -20,5 +22,28 @@ std::string pad_right(const std::string& s, std::size_t width);
 
 /// Pad `s` on the left to `width` columns.
 std::string pad_left(const std::string& s, std::size_t width);
+
+/// `s` as the body of a JSON string: `"` and `\` are backslash-escaped and
+/// control characters become `\u00XX`; everything else, `/` included, is
+/// kept as is.
+[[nodiscard]] std::string json_escape(const std::string& s);
+
+// Strict value parsing: the whole text must be the value. Each throws Error
+// naming `what`, which says where the text came from (`--chips=-1`,
+// `chip.ini:3: [chip] array_dim = 16x`).
+
+/// Decimal digits only (no sign, whitespace or trailing characters), within
+/// [min, max].
+[[nodiscard]] std::uint32_t parse_uint(const std::string& text,
+                                       const std::string& what,
+                                       std::uint32_t min = 0,
+                                       std::uint32_t max = UINT32_MAX);
+/// A finite number within [min, max] (`1.5x`, `nan` and `inf` fail).
+[[nodiscard]] double parse_double(
+    const std::string& text, const std::string& what,
+    double min = std::numeric_limits<double>::lowest(),
+    double max = std::numeric_limits<double>::max());
+/// `true|1|yes` or `false|0|no`; anything else (`on`, `ture`) fails.
+[[nodiscard]] bool parse_bool(const std::string& text, const std::string& what);
 
 }  // namespace aurora

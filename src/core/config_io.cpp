@@ -3,35 +3,37 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "noc/network.hpp"
 
 namespace aurora::core {
 
 SimMode sim_mode_by_name(const std::string& name, const std::string& what) {
-  AURORA_CHECK_MSG(name == "cycle" || name == "analytic",
-                   what << " must be 'cycle' or 'analytic', got " << name);
+  if (name != "cycle" && name != "analytic") {
+    throw Error(what + " must be 'cycle' or 'analytic', got " + name);
+  }
   return name == "cycle" ? SimMode::kCycleAccurate : SimMode::kAnalytic;
 }
 
 MappingPolicy mapping_policy_by_name(const std::string& name,
                                      const std::string& what) {
-  AURORA_CHECK_MSG(
-      name == "degree-aware" || name == "hashing",
-      what << " must be 'degree-aware' or 'hashing', got " << name);
+  if (name != "degree-aware" && name != "hashing") {
+    throw Error(what + " must be 'degree-aware' or 'hashing', got " + name);
+  }
   return name == "degree-aware" ? MappingPolicy::kDegreeAware
                                 : MappingPolicy::kHashing;
 }
 
 AuroraConfig config_from_ini(const IniFile& ini, AuroraConfig base) {
   AuroraConfig c = base;
-  auto u32 = [&](const char* sec, const char* key, std::uint32_t fallback) {
-    return static_cast<std::uint32_t>(ini.get_int(sec, key, fallback));
+  const auto u32 = [&](const char* sec, const char* key, auto fallback) {
+    return ini.get_uint(sec, key, static_cast<std::uint32_t>(fallback));
   };
 
-  c.array_dim = u32("chip", "array_dim", c.array_dim);
+  // Every engine needs a mesh of at least 2x2.
+  c.array_dim = ini.get_uint("chip", "array_dim", c.array_dim, 2);
   c.noc.k = c.array_dim;
   c.frequency_mhz = ini.get_double("chip", "frequency_mhz", c.frequency_mhz);
-  c.element_bytes = u32("chip", "element_bytes",
-                        static_cast<std::uint32_t>(c.element_bytes));
+  c.element_bytes = u32("chip", "element_bytes", c.element_bytes);
   c.ring_size = u32("chip", "ring_size", c.ring_size);
   c.buffer_fill_fraction =
       ini.get_double("chip", "buffer_fill_fraction", c.buffer_fill_fraction);
@@ -39,52 +41,44 @@ AuroraConfig config_from_ini(const IniFile& ini, AuroraConfig base) {
   c.mode = sim_mode_by_name(
       ini.get_string("chip", "mode",
                      c.mode == SimMode::kCycleAccurate ? "cycle" : "analytic"),
-      "chip.mode");
+      ini.where("chip", "mode"));
   c.fast_forward = ini.get_bool("chip", "fast_forward", c.fast_forward);
   c.mapping_policy = mapping_policy_by_name(
       ini.get_string("chip", "mapping",
                      c.mapping_policy == MappingPolicy::kDegreeAware
                          ? "degree-aware"
                          : "hashing"),
-      "chip.mapping");
+      ini.where("chip", "mapping"));
 
   c.pe.datapath.num_multipliers =
       u32("pe", "multipliers", c.pe.datapath.num_multipliers);
   c.pe.datapath.num_adders = u32("pe", "adders", c.pe.datapath.num_adders);
   c.pe.datapath.pipeline_depth =
-      u32("pe", "pipeline_depth",
-          static_cast<std::uint32_t>(c.pe.datapath.pipeline_depth));
+      u32("pe", "pipeline_depth", c.pe.datapath.pipeline_depth);
   c.pe.bank_buffer_bytes =
-      1024ull * u32("pe", "bank_buffer_kib",
-                    static_cast<std::uint32_t>(c.pe.bank_buffer_bytes / 1024));
+      1024ull * u32("pe", "bank_buffer_kib", c.pe.bank_buffer_bytes / 1024);
   c.pe.bank_count = u32("pe", "bank_count", c.pe.bank_count);
   c.pe.reuse_fifo_entries =
       u32("pe", "reuse_fifo_entries", c.pe.reuse_fifo_entries);
 
-  c.noc.flit_bytes = u32("noc", "flit_bytes",
-                         static_cast<std::uint32_t>(c.noc.flit_bytes));
-  c.noc.num_vcs = u32("noc", "num_vcs", c.noc.num_vcs);
+  c.noc.flit_bytes = u32("noc", "flit_bytes", c.noc.flit_bytes);
+  c.noc.num_vcs = ini.get_uint("noc", "num_vcs", c.noc.num_vcs, 1,
+                               noc::Network::kMaxVcs);
   c.noc.input_buffer_flits =
       u32("noc", "input_buffer_flits", c.noc.input_buffer_flits);
-  c.noc.router_delay = u32("noc", "router_delay",
-                           static_cast<std::uint32_t>(c.noc.router_delay));
+  c.noc.router_delay = u32("noc", "router_delay", c.noc.router_delay);
 
   c.dram.num_channels = u32("dram", "channels", c.dram.num_channels);
   c.dram.banks_per_channel = u32("dram", "banks", c.dram.banks_per_channel);
-  c.dram.row_bytes = u32("dram", "row_bytes",
-                         static_cast<std::uint32_t>(c.dram.row_bytes));
-  c.dram.burst_bytes = u32("dram", "burst_bytes",
-                           static_cast<std::uint32_t>(c.dram.burst_bytes));
-  auto cyc = [&](const char* key, Cycle fallback) {
-    return static_cast<Cycle>(
-        ini.get_int("dram", key, static_cast<std::int64_t>(fallback)));
-  };
-  c.dram.timing.t_rcd = cyc("t_rcd", c.dram.timing.t_rcd);
-  c.dram.timing.t_rp = cyc("t_rp", c.dram.timing.t_rp);
-  c.dram.timing.t_cl = cyc("t_cl", c.dram.timing.t_cl);
-  c.dram.timing.t_burst = cyc("t_burst", c.dram.timing.t_burst);
-  c.dram.timing.t_refi = cyc("t_refi", c.dram.timing.t_refi);
-  c.dram.timing.t_rfc = cyc("t_rfc", c.dram.timing.t_rfc);
+  c.dram.row_bytes = u32("dram", "row_bytes", c.dram.row_bytes);
+  c.dram.burst_bytes = u32("dram", "burst_bytes", c.dram.burst_bytes);
+  c.dram.timing.t_rcd = u32("dram", "t_rcd", c.dram.timing.t_rcd);
+  c.dram.timing.t_rp = u32("dram", "t_rp", c.dram.timing.t_rp);
+  c.dram.timing.t_cl = u32("dram", "t_cl", c.dram.timing.t_cl);
+  c.dram.timing.t_burst = u32("dram", "t_burst", c.dram.timing.t_burst);
+  c.dram.timing.t_refi = u32("dram", "t_refi", c.dram.timing.t_refi);
+  c.dram.timing.t_rfc = u32("dram", "t_rfc", c.dram.timing.t_rfc);
+  ini.reject_unread();
   return c;
 }
 

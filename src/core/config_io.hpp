@@ -2,12 +2,12 @@
 // configurations in version-controlled files.
 //
 // Recognised keys (all optional; unset keys keep their defaults):
-//   [chip]  array_dim, frequency_mhz, element_bytes, ring_size,
+//   [chip]  array_dim (>= 2), frequency_mhz, element_bytes, ring_size,
 //           buffer_fill_fraction, flops_per_pe, mode (cycle|analytic),
-//           mapping (degree-aware|hashing)
+//           fast_forward (true|false), mapping (degree-aware|hashing)
 //   [pe]    multipliers, adders, bank_buffer_kib, bank_count,
 //           reuse_fifo_entries, pipeline_depth
-//   [noc]   flit_bytes, num_vcs, input_buffer_flits, router_delay
+//   [noc]   flit_bytes, num_vcs (1-4), input_buffer_flits, router_delay
 //   [dram]  channels, banks, row_bytes, burst_bytes, t_rcd, t_rp, t_cl,
 //           t_burst, t_refi, t_rfc
 #pragma once
@@ -28,7 +28,9 @@ namespace aurora::core {
 [[nodiscard]] MappingPolicy mapping_policy_by_name(const std::string& name,
                                                    const std::string& what);
 
-/// Apply an INI file on top of `base` (defaults for anything unset).
+/// Apply an INI file on top of `base` (defaults for anything unset). Values
+/// follow the strict CLI rules; an unknown section or key, like a bad value,
+/// throws Error naming the file, line and `[section] key`.
 [[nodiscard]] AuroraConfig config_from_ini(const IniFile& ini,
                                            AuroraConfig base = {});
 

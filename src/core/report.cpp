@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace aurora::core {
 namespace {
@@ -17,15 +18,6 @@ void append_kv(std::ostringstream& os, const char* key, double value,
 void append_kv(std::ostringstream& os, const char* key, std::uint64_t value,
                bool last = false) {
   os << "\"" << key << "\": " << value << (last ? "" : ", ");
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -97,7 +89,7 @@ std::string metrics_to_json(const RunMetrics& m) {
     os << ", \"counters\": {";
     std::size_t i = 0;
     for (const auto& [name, value] : counters) {
-      os << "\"" << escape(name) << "\": " << value;
+      os << "\"" << json_escape(name) << "\": " << value;
       if (++i < counters.size()) os << ", ";
     }
     os << "}";
@@ -111,8 +103,8 @@ std::string runs_to_json(const std::vector<NamedRun>& runs) {
   os << "[";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     if (i > 0) os << ",\n ";
-    os << "{\"accelerator\": \"" << escape(runs[i].accelerator)
-       << "\", \"workload\": \"" << escape(runs[i].workload)
+    os << "{\"accelerator\": \"" << json_escape(runs[i].accelerator)
+       << "\", \"workload\": \"" << json_escape(runs[i].workload)
        << "\", \"metrics\": " << metrics_to_json(runs[i].metrics) << "}";
   }
   os << "]";

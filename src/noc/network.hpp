@@ -70,6 +70,9 @@ struct NocStats {
 /// them through the delivery callback (or poll `drain_delivered`).
 class Network final : public sim::Component {
  public:
+  /// Virtual channels per port a router has buffers for (num_vcs <= this).
+  static constexpr std::uint32_t kMaxVcs = 4;
+
   explicit Network(const NocParams& params);
 
   /// Apply a new configuration. Only legal while the network is drained.
@@ -141,7 +144,6 @@ class Network final : public sim::Component {
     /// or empty when the next head flit still needs switch allocation.
     std::optional<Port> locked_output;
   };
-  static constexpr std::uint32_t kMaxVcs = 4;
   struct Router {
     /// One buffer per (physical port, virtual channel).
     std::array<std::array<InputBuffer, kMaxVcs>, kNumPorts> in;

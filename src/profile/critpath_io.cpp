@@ -5,41 +5,12 @@
 #include <sstream>
 #include <string>
 
+#include "common/strings.hpp"
 #include "common/table.hpp"
 #include "profile/critpath.hpp"
 
 namespace aurora::profile {
 namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string format_double(double v) {
   char buf[64];
@@ -63,7 +34,7 @@ void append_what_if(std::ostringstream& os,
   os << "[";
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     if (i > 0) os << ",";
-    os << "{\"scenario\":\"" << escape(outcomes[i].scenario)
+    os << "{\"scenario\":\"" << json_escape(outcomes[i].scenario)
        << "\",\"total_cycles\":" << outcomes[i].total_cycles
        << ",\"speedup\":" << format_double(outcomes[i].speedup) << "}";
   }

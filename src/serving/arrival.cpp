@@ -25,12 +25,14 @@ const char* arrival_kind_name(ArrivalKind kind) {
   throw Error("invalid ArrivalKind");
 }
 
-std::optional<ArrivalKind> arrival_kind_by_name(const std::string& name) {
+ArrivalKind arrival_kind_by_name(const std::string& name,
+                                 const std::string& what) {
   for (ArrivalKind kind : {ArrivalKind::kPoisson, ArrivalKind::kBursty,
                            ArrivalKind::kDiurnal}) {
     if (name == arrival_kind_name(kind)) return kind;
   }
-  return std::nullopt;
+  throw Error("unknown " + what + "=" + name +
+              " (accepted: poisson, bursty, diurnal)");
 }
 
 ArrivalProcess::ArrivalProcess(const ArrivalParams& params, std::uint64_t seed)

@@ -11,7 +11,6 @@
 // bit-for-bit.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "common/rng.hpp"
@@ -26,8 +25,10 @@ enum class ArrivalKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* arrival_kind_name(ArrivalKind kind);
-[[nodiscard]] std::optional<ArrivalKind> arrival_kind_by_name(
-    const std::string& name);
+/// Parses an arrival_kind_name(); anything else throws Error naming `what`
+/// (e.g. `--arrival`).
+[[nodiscard]] ArrivalKind arrival_kind_by_name(const std::string& name,
+                                               const std::string& what);
 
 struct ArrivalParams {
   ArrivalKind kind = ArrivalKind::kPoisson;

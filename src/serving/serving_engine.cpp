@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/strings.hpp"
 
 namespace aurora::serving {
 
@@ -131,7 +132,7 @@ std::string serving_report_json(const ServingReport& report) {
     const ServedRequest& r = report.served[i];
     os << "{";
     kv("id", r.id);
-    kv_str("label", r.label);
+    kv_str("label", json_escape(r.label));
     kv("tenant", r.tenant);
     kv("priority", r.priority);
     kv("chip", r.chip);

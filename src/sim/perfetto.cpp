@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "sim/sampler.hpp"
 
 namespace aurora::sim {
@@ -30,15 +31,6 @@ constexpr const char* kSegmentNames[3] = {"compute-pre", "halo-wait",
 /// packets still exports in bounded size; points are stride-sampled.
 constexpr std::size_t kMaxCounterPoints = 4096;
 
-std::string escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// Emits one JSON event object per call, inserting commas between events.
 class EventWriter {
  public:
@@ -60,15 +52,15 @@ class EventWriter {
 void meta_thread_name(EventWriter& w, int pid, int tid, const std::string& name) {
   w.begin() << "\"ph\": \"M\", \"pid\": " << pid << ", \"tid\": " << tid
             << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
-            << escape(name) << "\"}";
+            << json_escape(name) << "\"}";
   w.end();
 }
 
 void counter_point(EventWriter& w, int pid, const std::string& name, Cycle ts,
                    double value) {
   w.begin() << "\"ph\": \"C\", \"pid\": " << pid << ", \"ts\": " << ts
-            << ", \"name\": \"" << escape(name) << "\", \"args\": {\"value\": "
-            << value << "}";
+            << ", \"name\": \"" << json_escape(name)
+            << "\", \"args\": {\"value\": " << value << "}";
   w.end();
 }
 
@@ -114,7 +106,7 @@ std::vector<std::pair<Cycle, double>> levels_from_deltas(
 void emit_process(EventWriter& w, int pid, const TraceProcess& proc) {
   w.begin() << "\"ph\": \"M\", \"pid\": " << pid
             << ", \"name\": \"process_name\", \"args\": {\"name\": \""
-            << escape(proc.name) << "\"}";
+            << json_escape(proc.name) << "\"}";
   w.end();
 
   // Thread metas: the single-chip tracks always, cluster chip tracks only

@@ -522,19 +522,25 @@ TEST(ClusterScheduler, DispatchModeNamesRoundTrip) {
   for (const cluster::DispatchMode mode :
        {cluster::DispatchMode::kDataParallel,
         cluster::DispatchMode::kShardParallel}) {
-    const auto parsed =
-        cluster::dispatch_mode_by_name(cluster::dispatch_mode_name(mode));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, mode);
+    EXPECT_EQ(cluster::dispatch_mode_by_name(cluster::dispatch_mode_name(mode),
+                                             "mode"),
+              mode);
   }
   // The CLI short forms (--mode=data|shard).
-  EXPECT_EQ(cluster::dispatch_mode_by_name("data"),
+  EXPECT_EQ(cluster::dispatch_mode_by_name("data", "--mode"),
             cluster::DispatchMode::kDataParallel);
-  EXPECT_EQ(cluster::dispatch_mode_by_name("shard"),
+  EXPECT_EQ(cluster::dispatch_mode_by_name("shard", "--mode"),
             cluster::DispatchMode::kShardParallel);
-  EXPECT_FALSE(cluster::dispatch_mode_by_name("shardd").has_value());
-  EXPECT_FALSE(cluster::dispatch_mode_by_name("parallel").has_value());
-  EXPECT_FALSE(cluster::dispatch_mode_by_name("").has_value());
+  // Anything else throws, naming the source of the value.
+  for (const char* bad : {"shardd", "parallel", ""}) {
+    try {
+      (void)cluster::dispatch_mode_by_name(bad, "--mode");
+      FAIL() << "expected Error for " << bad;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--mode=") + bad),
+                std::string::npos);
+    }
+  }
 }
 
 }  // namespace

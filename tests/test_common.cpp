@@ -314,6 +314,13 @@ TEST(Strings, Padding) {
   EXPECT_EQ(pad_left("abcdef", 4), "abcdef");
 }
 
+TEST(Strings, JsonEscape) {
+  EXPECT_EQ(json_escape("plain/path #1"), "plain/path #1");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("line\nnext\ttab"), "line\\u000anext\\u0009tab");
+  EXPECT_EQ(json_escape(std::string("nul\0", 4)), "nul\\u0000");
+}
+
 TEST(AsciiTable, RendersAlignedRows) {
   AsciiTable t({"name", "value"});
   t.add_row({"alpha", "1"});
@@ -400,6 +407,22 @@ TEST(Cli, GetBoolValidates) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("--typo=flase"), std::string::npos);
   }
+}
+
+TEST(Cli, RejectUnreadNamesFlagAndPath) {
+  const char* argv[] = {"prog", "--requests=4", "--faults=3", "--rate=9"};
+  const CliArgs args(4, argv);
+  EXPECT_EQ(args.get_uint("requests", 1), 4u);
+  EXPECT_EQ(args.get_string("unset", "x"), "x");  // absent flags are fine
+  try {
+    args.reject_unread("a closed-loop run");
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "a closed-loop run does not use --faults --rate");
+  }
+  (void)args.get_double("rate", 1.0);
+  (void)args.get_uint("faults", 1);
+  args.reject_unread("an open-loop run");  // everything read now
 }
 
 TEST(Check, ThrowsWithMessage) {

@@ -24,10 +24,10 @@ TEST(Ini, ParsesSectionsKeysComments) {
   const IniFile ini = IniFile::parse(in);
   EXPECT_EQ(ini.num_sections(), 2u);
   EXPECT_TRUE(ini.has("chip", "array_dim"));
-  EXPECT_EQ(ini.get_int("chip", "array_dim", 0), 32);
+  EXPECT_EQ(ini.get_uint("chip", "array_dim", 0), 32u);
   EXPECT_EQ(ini.get_string("chip", "mode", ""), "analytic");
-  EXPECT_EQ(ini.get_int("dram", "channels", 0), 8);
-  EXPECT_EQ(ini.get_int("dram", "missing", 42), 42);
+  EXPECT_EQ(ini.get_uint("dram", "channels", 0), 8u);
+  EXPECT_EQ(ini.get_uint("dram", "missing", 42), 42u);
   EXPECT_FALSE(ini.has("nope", "x"));
 }
 
@@ -41,8 +41,9 @@ TEST(Ini, TypedGetters) {
   const IniFile ini = IniFile::parse(in);
   EXPECT_DOUBLE_EQ(ini.get_double("s", "f", 0.0), 0.25);
   EXPECT_TRUE(ini.get_bool("s", "yes1", false));
-  EXPECT_TRUE(ini.get_bool("s", "yes2", false));
-  EXPECT_FALSE(ini.get_bool("s", "no", true));
+  // One boolean vocabulary, the CLI's: on/off are not booleans.
+  EXPECT_THROW((void)ini.get_bool("s", "yes2", false), Error);
+  EXPECT_THROW((void)ini.get_bool("s", "no", true), Error);
   EXPECT_TRUE(ini.get_bool("s", "missing", true));
 }
 
@@ -100,6 +101,40 @@ TEST(ConfigIo, RoundTripsThroughIni) {
 TEST(ConfigIo, RejectsBadMode) {
   std::istringstream in("[chip]\nmode = warp\n");
   EXPECT_THROW((void)core::config_from_ini(IniFile::parse(in)), Error);
+}
+
+TEST(ConfigIo, RejectsBadValuesAndKeysNamingLineAndKey) {
+  struct Case {
+    const char* body;   // from line 4, after a comment and a [pe] section
+    const char* where;  // expected in the error
+  };
+  const Case cases[] = {
+      {"[chip]\narray_dim = 16x\n", "chip.ini:5: [chip] array_dim = 16x"},
+      {"[noc]\nnum_vcs = -1\n", "chip.ini:5: [noc] num_vcs = -1"},
+      {"[chip]\narray_dim = 1\n",
+       "chip.ini:5: [chip] array_dim = 1 outside [2, 4294967295]"},
+      {"[noc]\nnum_vcs = 0\n", "chip.ini:5: [noc] num_vcs = 0 outside [1, 4]"},
+      {"[chip]\nfrequency_mhz = fast\n",
+       "chip.ini:5: [chip] frequency_mhz = fast"},
+      {"[chip]\nfast_forward = ture\n",
+       "chip.ini:5: [chip] fast_forward = ture"},
+      {"[chip]\naray_dim = 8\n", "chip.ini:5: [chip] aray_dim: unknown key"},
+      {"[fabric]\nwidth = 3\n",
+       "chip.ini:5: [fabric] width: unknown section"},
+      {"[chip]\narray_dim = 8\narray_dim = 16\n",
+       "chip.ini:6: [chip] array_dim: duplicate key (first set at line 5)"},
+  };
+  for (const Case& c : cases) {
+    std::istringstream in(std::string("; chip\n[pe]\nmultipliers = 8\n") +
+                          c.body);
+    try {
+      (void)core::config_from_ini(IniFile::parse(in, "chip.ini"));
+      ADD_FAILURE() << "accepted: " << c.body;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.where), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ConfigIo, LoadedConfigDrivesAccelerator) {

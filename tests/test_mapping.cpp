@@ -2,7 +2,9 @@
 // degree-aware vs hashing mapping, and the derived bypass configuration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -51,6 +53,78 @@ TEST(NQueen, SmallSizesFallBackToDistinctRowsCols) {
     }
     EXPECT_EQ(rows.size(), k);
     EXPECT_EQ(cols.size(), k);
+  }
+}
+
+/// Algorithm 1's backtracking as first written: every column of a row,
+/// each checked against every earlier queen. The reference for the bitset
+/// search behind identify_s_pes, which must find the same placement.
+bool reference_queen(std::vector<std::uint32_t>& cols, std::uint32_t row,
+                     std::uint32_t num_cols) {
+  if (row == cols.size()) return true;
+  for (std::uint32_t c = 0; c < num_cols; ++c) {
+    bool free = true;
+    for (std::uint32_t r = 0; r < row && free; ++r) {
+      const std::uint32_t dc = cols[r] > c ? cols[r] - c : c - cols[r];
+      free = cols[r] != c && dc != row - r;
+    }
+    if (!free) continue;
+    cols[row] = c;
+    if (reference_queen(cols, row + 1, num_cols)) return true;
+  }
+  return false;
+}
+
+/// identify_s_pes on a band of `rows` full-width rows of a `cols`-wide mesh
+/// must match the reference (or its stagger fallback, when unsolvable).
+void expect_matches_reference(std::uint32_t rows, std::uint32_t cols) {
+  std::vector<std::uint32_t> expected(rows, 0);
+  if (!reference_queen(expected, 0, cols)) {
+    for (std::uint32_t r = 0; r < rows; ++r) expected[r] = r % cols;
+  }
+  const auto placement = identify_s_pes(PeRegion{cols, 0, rows});
+  ASSERT_EQ(placement.size(), rows);
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    EXPECT_EQ(placement[r].row, r);
+    EXPECT_EQ(placement[r].col, expected[r]) << rows << "x" << cols;
+  }
+}
+
+TEST(NQueen, BitsetSearchMatchesReferenceScan) {
+  for (std::uint32_t cols = 1; cols <= 20; ++cols) {
+    for (std::uint32_t rows = 1; rows <= cols; ++rows) {
+      expect_matches_reference(rows, cols);
+    }
+  }
+  // Widths around 64-column words: one word, several, a partial last one.
+  for (std::uint32_t cols : {63u, 64u, 65u, 127u, 128u, 129u, 200u}) {
+    for (std::uint32_t rows = 1; rows <= 8; ++rows) {
+      expect_matches_reference(rows, cols);
+    }
+  }
+  // These first solutions put queens on both sides of column 64 and
+  // backtrack across it, so the diagonals carry between words: dropping
+  // either carry changes some of these placements.
+  for (std::uint32_t cols : {65u, 66u}) {
+    for (std::uint32_t rows = 41; rows <= 47; ++rows) {
+      expect_matches_reference(rows, cols);
+      const auto placement = identify_s_pes(PeRegion{cols, 0, rows});
+      EXPECT_TRUE(std::any_of(placement.begin(), placement.end(),
+                              [](const auto& c) { return c.col >= 64; }))
+          << rows << "x" << cols;
+    }
+  }
+}
+
+TEST(NQueen, PlacementOn32x32IsPinned) {
+  // The reference scan's first solution (it takes tens of seconds there).
+  const std::vector<std::uint32_t> expected = {
+      0,  2,  4,  1,  3,  8,  10, 12, 14, 5,  17, 23, 25, 29, 24, 30,
+      27, 31, 26, 28, 15, 18, 9,  7,  16, 11, 20, 6,  13, 22, 19, 21};
+  const auto placement = identify_s_pes(32);
+  ASSERT_EQ(placement.size(), expected.size());
+  for (std::size_t r = 0; r < expected.size(); ++r) {
+    EXPECT_EQ(placement[r].col, expected[r]) << "row " << r;
   }
 }
 

@@ -97,12 +97,17 @@ TEST(Arrival, KindNamesRoundTrip) {
   for (const serving::ArrivalKind kind :
        {serving::ArrivalKind::kPoisson, serving::ArrivalKind::kBursty,
         serving::ArrivalKind::kDiurnal}) {
-    const auto parsed =
-        serving::arrival_kind_by_name(serving::arrival_kind_name(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
+    EXPECT_EQ(serving::arrival_kind_by_name(serving::arrival_kind_name(kind),
+                                            "--arrival"),
+              kind);
   }
-  EXPECT_FALSE(serving::arrival_kind_by_name("sawtooth").has_value());
+  try {
+    (void)serving::arrival_kind_by_name("sawtooth", "--arrival");
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--arrival=sawtooth"),
+              std::string::npos);
+  }
 }
 
 serving::ServingRequest plain_request(std::uint64_t id, Cycle arrival,
@@ -471,6 +476,19 @@ TEST(ServingReport, JsonCarriesSchemaAndExactPercentiles) {
             std::string::npos);
   EXPECT_NE(json.find("\"latency_p50_cycles\": 210"), std::string::npos);
   EXPECT_NE(json.find("\"requests\": ["), std::string::npos);
+}
+
+TEST(ServingReport, JsonEscapesRequestLabels) {
+  serving::ServingReport report;
+  report.frequency_mhz = 1000.0;
+  serving::ServedRequest r;
+  r.label = "say \"hi\"\\now\nplease";
+  report.served.push_back(r);
+  const std::string json = serving::serving_report_json(report);
+  EXPECT_NE(json.find("\"label\": \"say \\\"hi\\\"\\\\now\\u000aplease\""),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find('\n'), std::string::npos);
 }
 
 }  // namespace
