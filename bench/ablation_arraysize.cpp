@@ -11,7 +11,9 @@
 #include "common/table.hpp"
 #include "energy/area_model.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const auto options = bench::parse_figure_options(argc, argv);
   const graph::Dataset ds = graph::make_dataset(
@@ -55,4 +57,10 @@ int main(int argc, char** argv) {
       "favors the smaller arrays. Reconfiguration latency (2K-1) stays\n"
       "negligible at every size.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

@@ -30,9 +30,7 @@ double cycle_scale(aurora::graph::DatasetId id) {
   return 0.05;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace aurora;
   const auto options = bench::parse_figure_options(argc, argv);
 
@@ -115,4 +113,10 @@ int main(int argc, char** argv) {
   }
   ana.print();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

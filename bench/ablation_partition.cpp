@@ -9,7 +9,9 @@
 #include "common/table.hpp"
 #include "partition/partition.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const auto options = bench::parse_figure_options(argc, argv);
   const double scale = options.scale > 0.0 ? options.scale : 1.0;
@@ -58,4 +60,10 @@ int main(int argc, char** argv) {
       "\n'best fixed' is the best of the three fixed splits relative to "
       "Algorithm 2\n(>= 1.00x means Algorithm 2 is at least as good).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

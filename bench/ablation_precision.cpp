@@ -10,7 +10,9 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const auto options = bench::parse_figure_options(argc, argv);
 
@@ -45,4 +47,10 @@ int main(int argc, char** argv) {
       "\nHalving the element width roughly halves feature traffic; time\n"
       "follows wherever the run is DRAM- or NoC-bound.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

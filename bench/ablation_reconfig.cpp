@@ -9,7 +9,9 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const auto options = bench::parse_figure_options(argc, argv);
 
@@ -53,4 +55,10 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\npaper reference: reconfiguration energy < 3 %% of total.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

@@ -12,7 +12,9 @@
 #include "graph/generators.hpp"
 #include "graph/reorder.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const CliArgs args(argc, argv, {"rmat-scale", "edges", "hidden", "seed"});
   const auto rmat_scale =
@@ -75,4 +77,10 @@ int main(int argc, char** argv) {
       static_cast<double>(raw_m.total_cycles) /
           static_cast<double>(bfs_m.total_cycles));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

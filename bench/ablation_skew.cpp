@@ -12,7 +12,9 @@
 #include "common/table.hpp"
 #include "graph/generators.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const CliArgs args(argc, argv, {"n", "edges", "hidden", "seed"});
   const auto n = static_cast<VertexId>(args.get_uint("n", 600, 2));
@@ -62,4 +64,10 @@ int main(int argc, char** argv) {
       "concentrate more load on the S_PEs — the bypass wires compensate\n"
       "most, but not all, of that concentration.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

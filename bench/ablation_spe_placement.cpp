@@ -31,9 +31,7 @@ mapping::Mapping with_placement(const mapping::Mapping& base,
   return m;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv, {"scale", "seed"});
   const double scale = args.get_double("scale", 0.5, 1e-6, 100.0);
   const auto ds = graph::make_dataset(graph::DatasetId::kCora, scale,
@@ -83,4 +81,10 @@ int main(int argc, char** argv) {
       "keeps columns and diagonals distinct, so each bypass wire serves one\n"
       "hotspot; same-row clustering concentrates the aggregation traffic.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

@@ -9,7 +9,9 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const auto options = bench::parse_figure_options(argc, argv);
   const auto rows = bench::run_comparison(options);
@@ -25,4 +27,10 @@ int main(int argc, char** argv) {
                 graph::dataset_name(row.dataset), 100.0 * share);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

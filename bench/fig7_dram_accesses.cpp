@@ -8,7 +8,9 @@
 //        --hidden=<d>, --seed=<s>.
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const auto options = bench::parse_figure_options(argc, argv);
   const auto rows = bench::run_comparison(options);
@@ -16,4 +18,10 @@ int main(int argc, char** argv) {
       "Figure 7 — normalized DRAM access volume (2-layer GCN)", rows,
       [](const core::RunMetrics& m) { return static_cast<double>(m.dram_bytes); });
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

@@ -6,7 +6,9 @@
 // Flags: --scale=<f>, --paper-scale, --hidden=<d>, --seed=<s>.
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const auto options = bench::parse_figure_options(argc, argv);
   const auto rows = bench::run_comparison(options);
@@ -16,4 +18,10 @@ int main(int argc, char** argv) {
         return static_cast<double>(m.onchip_comm_cycles);
       });
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

@@ -12,7 +12,9 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const auto options = bench::parse_figure_options(argc, argv);
   const auto rows = bench::run_comparison(options);
@@ -46,4 +48,10 @@ int main(int argc, char** argv) {
   }
   per_layer.print();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

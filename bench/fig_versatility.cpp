@@ -11,7 +11,9 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const auto options = bench::parse_figure_options(argc, argv);
   const graph::Dataset ds = graph::make_dataset(
@@ -71,4 +73,10 @@ int main(int argc, char** argv) {
                 native_count[b]);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

@@ -623,9 +623,7 @@ bool run_seed(std::uint64_t seed, bool verbose, const std::string& trace_out) {
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv,
                      {"help", "cluster", "faults", "seed", "seeds",
                       "start-seed", "trace-out"});
@@ -677,4 +675,10 @@ int main(int argc, char** argv) {
               fault_mode && cluster_mode ? " (fault injection)" : "",
               static_cast<unsigned long long>(seeds));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

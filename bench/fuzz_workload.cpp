@@ -232,9 +232,7 @@ bool fuzz_one(std::uint64_t seed, bool verbose) {
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv, {"seeds", "start-seed", "seed", "verbose"});
   const bool verbose = args.has("verbose") || args.has("seed");
   const std::uint64_t start =
@@ -267,4 +265,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(failures),
               static_cast<unsigned long long>(count));
   return EXIT_FAILURE;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

@@ -223,5 +223,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return scenario::guarded_main(argc, argv, run);
+  return guarded_main(argc, argv, run);
 }

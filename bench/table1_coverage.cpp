@@ -3,11 +3,15 @@
 #include <cstdio>
 
 #include "baselines/baseline.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "gnn/models.hpp"
 
-int main() {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
+  const CliArgs args(argc, argv, {});  // takes no flags
   std::printf("Table I — GNN coverage and features\n\n");
 
   AsciiTable table({"accelerator", "C-GCN", "A-GCN", "MP-GCN",
@@ -33,4 +37,10 @@ int main() {
                 gnn::category_name(gnn::model_category(m)));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

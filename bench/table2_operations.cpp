@@ -2,13 +2,17 @@
 // as produced by the adaptive workflow generator.
 #include <cstdio>
 
+#include "common/cli.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "gnn/models.hpp"
 #include "gnn/workflow.hpp"
 
-int main() {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
+  const CliArgs args(argc, argv, {});  // takes no flags
   std::printf(
       "Table II — required operations per execution phase "
       "(from the adaptive workflow generator)\n\n");
@@ -45,4 +49,10 @@ int main() {
   }
   shares.print();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

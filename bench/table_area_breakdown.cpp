@@ -6,12 +6,16 @@
 // flexible interconnect 5.2 %, controller 0.9 %.
 #include <cstdio>
 
+#include "common/cli.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "energy/area_model.hpp"
 
-int main() {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
+  const CliArgs args(argc, argv, {});  // takes no flags
   const energy::AreaReport report = energy::compute_area(energy::AreaParams{});
 
   std::printf("Area breakdown (TSMC 40 nm model, 32x32 PEs)\n\n");
@@ -37,4 +41,10 @@ int main() {
       "PE array 62.74 %%, flexible interconnect 5.2 %%, controller 0.9 %% "
       "of chip area.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

@@ -9,7 +9,9 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const auto options = bench::parse_figure_options(argc, argv);
   core::AuroraAccelerator accel(bench::figure_config(options));
@@ -38,4 +40,10 @@ int main(int argc, char** argv) {
               "and on-chip\ncommunication; reconfiguration < 3 %% "
               "(Sec VI-E).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

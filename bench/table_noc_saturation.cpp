@@ -10,7 +10,9 @@
 #include "common/table.hpp"
 #include "noc/traffic.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const CliArgs args(argc, argv, {"k", "cycles", "seed"});
   noc::NocParams params;
@@ -44,4 +46,10 @@ int main(int argc, char** argv) {
       "generates) sustains the highest rates; hotspot saturates first —\n"
       "exactly the pressure the degree-aware mapping relieves.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

@@ -9,6 +9,7 @@
 //   Vertex update: mvt, ReLU
 #include <cstdio>
 
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -16,8 +17,11 @@
 #include "pe/datapath.hpp"
 #include "pe/ppu.hpp"
 
-int main() {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
+  const CliArgs args(argc, argv, {});  // takes no flags
   Rng rng(77);
   constexpr std::size_t kN = 32;
 
@@ -141,4 +145,10 @@ int main() {
 
   table.print();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

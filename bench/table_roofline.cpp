@@ -11,7 +11,9 @@
 #include "common/table.hpp"
 #include "core/roofline.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const auto options = bench::parse_figure_options(argc, argv);
   const core::AuroraConfig cfg = bench::figure_config(options);
@@ -47,4 +49,10 @@ int main(int argc, char** argv) {
       "\nGNN inference lives far left on the roofline (low arithmetic\n"
       "intensity): every win in Figs 7-10 is a traffic win, not a FLOP win.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

@@ -13,7 +13,9 @@
 #include "gnn/reference.hpp"
 #include "pe/datapath.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const CliArgs args(argc, argv, {"scale", "hidden"});
   const double scale = args.get_double("scale", 0.05, 1e-6, 100.0);
@@ -87,4 +89,10 @@ int main(int argc, char** argv) {
               "avg %.2f hops/message\n",
               100.0 * m.utilization, m.num_subgraphs, m.avg_hops);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

@@ -15,7 +15,9 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const CliArgs args(argc, argv, {"graph", "json"});
 
@@ -66,4 +68,10 @@ int main(int argc, char** argv) {
   core::write_json_file(json_path, core::runs_to_json(runs));
   std::printf("JSON report written to %s\n", json_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

@@ -11,7 +11,9 @@
 #include "common/table.hpp"
 #include "core/aurora.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const CliArgs args(argc, argv, {"scale", "hidden"});
   const double scale = args.get_double("scale", 0.1, 1e-6, 100.0);
@@ -54,4 +56,10 @@ int main(int argc, char** argv) {
       "update), edge-heavy MP-GNNs pull PEs into sub-accelerator A, and\n"
       "shrinking convolutional layers switch to the update-first dataflow.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

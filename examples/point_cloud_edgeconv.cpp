@@ -47,9 +47,7 @@ aurora::graph::Dataset make_point_cloud(std::uint32_t points,
   return ds;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace aurora;
   const CliArgs args(argc, argv, {"points", "features"});
   const auto points = args.get_uint("points", 1024, 1);
@@ -109,4 +107,10 @@ int main(int argc, char** argv) {
       "\nA fixed tandem design (e.g. HyGCN's 1:7 split) would idle 7/8 of\n"
       "its multipliers here; Aurora's partition gives them all to sub-A.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

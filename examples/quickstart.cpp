@@ -9,7 +9,9 @@
 #include "common/strings.hpp"
 #include "core/aurora.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace aurora;
   const CliArgs args(argc, argv, {"scale", "analytic"});
 
@@ -64,4 +66,10 @@ int main(int argc, char** argv) {
               100.0 * m.energy.compute_pj / m.energy.total_pj(),
               100.0 * m.energy.noc_pj / m.energy.total_pj());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return aurora::guarded_main(argc, argv, run);
 }

@@ -8,7 +8,9 @@
 //   ./examples/simulate --print-config        # dump the default chip INI
 //
 // A flag the chosen run does not use is an error: --scale or --seed with
-// --graph, --features without it, --what-if without --critpath.
+// --graph, --features without it, --what-if without --critpath, and the
+// trace, counter and critical-path flags with --mode=analytic (the analytic
+// model records no events).
 #include <cctype>
 #include <cstdio>
 #include <optional>
@@ -64,7 +66,8 @@ int run(int argc, char** argv) {
         "  --model=<name>         GNN model (see table1_coverage) or\n"
         "  --all-models           run the whole zoo\n"
         "  --hidden=<d>           hidden width (default 16)\n"
-        "  --mode=<cycle|analytic>\n"
+        "  --mode=<cycle|analytic>  (flags marked 'cycle mode' are rejected\n"
+        "                         with --mode=analytic)\n"
         "  --mapping=<degree-aware|hashing>\n"
         "  --config=<path.ini>    chip configuration file\n"
         "  --paper-chip           use the 32x32/100MB paper chip\n"
@@ -73,11 +76,13 @@ int run(int argc, char** argv) {
         "                         mode; open in ui.perfetto.dev)\n"
         "  --metrics-out=<path>   write the per-run metrics JSON report\n"
         "  --sample-interval=<n>  sample metric time series every n cycles\n"
-        "                         (0 = off; defaults to 64 with --trace-out)\n"
+        "                         (cycle mode; 0 = off; defaults to 64 with\n"
+        "                         --trace-out)\n"
         "  --counters             dump component event counters (cycle mode)\n"
         "  --critpath             print the critical-path attribution table\n"
         "                         (cycle mode)\n"
-        "  --critpath-out=<path>  write the critical-path report JSON\n"
+        "  --critpath-out=<path>  write the critical-path report JSON (cycle\n"
+        "                         mode)\n"
         "  --what-if=<spec>       what-if scenarios for the critical-path\n"
         "                         report: 'link_bw=2x,dram_latency=0.5x'\n"
         "                         knobs, ';'-separated scenarios\n"
@@ -137,15 +142,23 @@ int run(int argc, char** argv) {
   }
   const auto hidden = args.get_uint("hidden", 16, 1);
   const bool run_baselines = args.get_bool("baselines", false);
-  const bool dump_counters = args.get_bool("counters", false);
-  scenario::Artifacts artifacts(args, args.get_bool("trace", false));
+  // The analytic model records no events, so an analytic run reads none of
+  // the trace, counter and critical-path flags.
+  const bool cycle = config.mode == core::SimMode::kCycleAccurate;
+  const bool dump_counters = cycle && args.get_bool("counters", false);
+  scenario::Artifacts artifacts =
+      cycle ? scenario::Artifacts(args, args.get_bool("trace", false))
+            : scenario::Artifacts::metrics_only(args);
   // Exporting a trace without any counter track would be a hollow timeline,
   // so --trace-out turns sampling on at a default interval unless the user
   // chose one (or explicitly disabled it with --sample-interval=0).
-  const std::uint32_t sample_interval = args.get_uint(
-      "sample-interval", artifacts.trace_out().empty() ? 0 : 64);
-  args.reject_unread(graph_path.empty() ? "a built-in dataset run"
-                                        : "a --graph run");
+  const std::uint32_t sample_interval =
+      cycle ? args.get_uint("sample-interval",
+                            artifacts.trace_out().empty() ? 0 : 64)
+            : 0;
+  args.reject_unread(
+      std::string(cycle ? "a " : "an analytic ") +
+      (graph_path.empty() ? "built-in dataset run" : "--graph run"));
 
   // ---- dataset --------------------------------------------------------------
   if (graph_path.empty()) {
@@ -238,5 +251,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return scenario::guarded_main(argc, argv, run);
+  return guarded_main(argc, argv, run);
 }

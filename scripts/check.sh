@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus a sanitizer pass.
 #
-# 1. Clean-ish release build + full test suite (the tier-1 gate), then the
-#    perf harness's own tests.
+# 1. Clean-ish release build with warnings as errors + full test suite (the
+#    tier-1 gate), then the perf harness's own tests.
 # 2. AddressSanitizer + UBSan build (-DAURORA_SANITIZE=ON) running the test
 #    suite and a small parallel comparison grid (--jobs > 1) to shake out
 #    data races over the thread-pooled bench cells and any lifetime bugs in
@@ -14,7 +14,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== tier-1: release build + tests =="
-cmake -B build -S .
+# Warnings are errors here, so the release build stays warning-free.
+cmake -B build -S . -DAURORA_WERROR=ON
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
 
@@ -66,10 +67,11 @@ done
 echo "observability smoke: ok"
 
 echo "== critical-path profiler smoke =="
-# Profiler test suite by ctest label, then a single-chip simulate run and a
-# 4-chip shard-parallel serving run writing critpath JSON. The report must
-# carry the v1 schema and satisfy the attribution invariant: the five
-# category cycle counts sum exactly to the end-to-end total.
+# Profiler test suite by ctest label, then a single-chip simulate run, a
+# 4-chip shard-parallel serving run and a faulty and a dynamic serving run
+# writing critpath JSON. Each report must carry the v1 schema and satisfy
+# the attribution invariant: the five category cycle counts sum exactly to
+# the end-to-end total.
 ctest --test-dir build -L profile --output-on-failure -j
 ./build/examples/simulate --dataset=cora --scale=0.03 --model=GCN \
   --critpath-out="$obs_dir/critpath.json" --what-if="dram_latency=0.5x"
@@ -77,7 +79,15 @@ ctest --test-dir build -L profile --output-on-failure -j
   --chips=4 --mode=shard --critpath-out="$obs_dir/critpath_cluster.json" \
   --trace-out="$obs_dir/trace_cluster.json"
 python3 -m json.tool "$obs_dir/trace_cluster.json" > /dev/null
-for f in "$obs_dir/critpath.json" "$obs_dir/critpath_cluster.json"; do
+# Faulty and dynamic serving record chip transitions, graph mutations and
+# reshards between the runs; the analysis skips them.
+./build/examples/serving --scale=0.02 --hidden=16 --arrival=poisson \
+  --rate=150000 --requests=8 --chips=1 --faults=3 --mtbf-us=200 \
+  --critpath-out="$obs_dir/critpath_faulty.json"
+./build/examples/serving --scale=0.02 --hidden=16 --dynamic --requests=4 \
+  --chips=2 --critpath-out="$obs_dir/critpath_dynamic.json"
+for f in "$obs_dir/critpath.json" "$obs_dir/critpath_cluster.json" \
+         "$obs_dir/critpath_faulty.json" "$obs_dir/critpath_dynamic.json"; do
   python3 - "$f" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as fh:
@@ -218,7 +228,7 @@ echo "== sanitizers: TSan build (per-chip worker threads) =="
 # ThreadSanitizer cannot coexist with ASan, so it gets its own tree. The
 # attack surface is the cluster engine's per-chip fan-out: the cluster test
 # suite (its ParallelEngine tests run chips on worker threads) catches data
-# races in parallel_for and the WorkerBudget.
+# races in parallel_for.
 export TSAN_OPTIONS="halt_on_error=1:${TSAN_OPTIONS:-}"
 cmake -B build-tsan -S . -DAURORA_SANITIZE=thread
 cmake --build build-tsan -j --target test_cluster test_scheduler test_common \

@@ -18,7 +18,6 @@ core::RunMetrics RegnnModel::run_layer(
     const core::DramTrafficParams& traffic) const {
   const double eb = static_cast<double>(chip_.element_bytes);
   const double n = ds.num_vertices();
-  const double f = wf.layer.in_dim;
   const double gini = ds.degree_stats.gini;
   const double avg_deg = ds.degree_stats.mean_degree;
   const double buffer = static_cast<double>(chip_.onchip_buffer_bytes);

@@ -47,7 +47,7 @@ struct ClusterParams {
   /// results are bit-identical either way.
   bool parallel = false;
   /// Worker threads for the Phase A fan-out (0 = hardware concurrency;
-  /// capped by the process-wide WorkerBudget either way).
+  /// capped at the hardware threads either way).
   unsigned parallel_jobs = 0;
   /// Optional fault plan: its link degradation windows stretch wire
   /// serialisation on the cluster-run clock. Null is fully inert.

@@ -1,10 +1,20 @@
 #include "common/cli.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/error.hpp"
 
 namespace aurora {
+
+int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -28,7 +38,8 @@ CliArgs::CliArgs(int argc, const char* const* argv,
   std::string msg = "unknown flag";
   if (unknown.size() > 1) msg += 's';
   for (const std::string& f : unknown) msg += " --" + f;
-  msg += "; accepted flags:";
+  msg += known.size() == 0 ? "; this program takes no flags"
+                           : "; accepted flags:";
   std::vector<std::string> sorted(known.begin(), known.end());
   std::sort(sorted.begin(), sorted.end());
   for (const std::string& f : sorted) msg += " --" + f;

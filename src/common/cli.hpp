@@ -1,4 +1,5 @@
-// Minimal --key=value command-line parsing for examples and bench binaries.
+// Minimal --key=value command-line parsing for examples and bench binaries,
+// and the error guard around their mains.
 #pragma once
 
 #include <cstdint>
@@ -65,5 +66,10 @@ class CliArgs {
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> read_;
 };
+
+/// Runs a main's body; an aurora::Error from it (a bad flag, a bad INI
+/// key, a failed analysis) becomes `error: <message>` and exit code 1.
+/// Every example and bench main wraps its body in it.
+int guarded_main(int argc, char** argv, int (*body)(int, char**));
 
 }  // namespace aurora

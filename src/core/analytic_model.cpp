@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/error.hpp"
-#include "core/controllers.hpp"
 #include "core/sub_accelerators.hpp"
-#include "mapping/mapper.hpp"
 #include "mapping/quality.hpp"
-#include "partition/partition.hpp"
 
 namespace aurora::core {
 
@@ -22,56 +17,21 @@ AnalyticModel::AnalyticModel(const AuroraConfig& config,
 
 RunMetrics AnalyticModel::run_layer(const graph::Dataset& dataset,
                                     const gnn::Workflow& wf,
-                                    const DramTrafficParams& traffic) const {
-  return run_impl(dataset, wf, traffic, /*degree_aware=*/true);
-}
-
-RunMetrics AnalyticModel::run_layer_hashing(
-    const graph::Dataset& dataset, const gnn::Workflow& wf,
-    const DramTrafficParams& traffic) const {
-  return run_impl(dataset, wf, traffic, /*degree_aware=*/false);
-}
-
-RunMetrics AnalyticModel::run_impl(const graph::Dataset& dataset,
-                                   const gnn::Workflow& wf,
-                                   const DramTrafficParams& traffic_params,
-                                   bool degree_aware) const {
+                                    const DramTrafficParams& traffic_params)
+    const {
   const AuroraConfig& cfg = config_;
   const graph::CsrGraph& g = dataset.graph;
   const Bytes elem = cfg.element_bytes;
   const auto fv = wf.edge_feature_dim;
+  const bool degree_aware =
+      cfg.mapping_policy == MappingPolicy::kDegreeAware;
 
-  // ---- decisions (identical to the cycle engine) --------------------------
-  const auto split = partition::partition(
-      partition::partition_input_from_workflow(wf, cfg.num_pes(),
-                                               cfg.flops_per_pe));
-  const SubAcceleratorPlan plan = make_plan(cfg, split);
-
-  graph::TilingParams tparams;
-  tparams.feature_bytes = feature_vector_bytes(wf.layer.in_dim, traffic_params);
-  tparams.edge_bytes = 8;
-  // Tiles size against the WHOLE distributed buffer: features spread across
-  // both sub-accelerators (the DRAM crossbar feeds every PE row), with
-  // weights confined to sub-B (paper Sec VI-B: "fully utilize the on-chip
-  // buffer capacity").
-  tparams.capacity_bytes = static_cast<Bytes>(
-      cfg.buffer_fill_fraction * static_cast<double>(cfg.total_buffer_bytes()));
-  const graph::Tiling tiling = graph::tile_graph(g, tparams);
-  const DramTraffic traffic =
-      aurora_dram_traffic(dataset, wf, tiling, traffic_params);
+  const LayerPlan layer_plan = plan_layer(cfg, dataset, wf, traffic_params);
+  const SubAcceleratorPlan& plan = layer_plan.sub_accelerators;
+  const graph::Tiling& tiling = layer_plan.tiling;
+  const DramTraffic& traffic = layer_plan.traffic;
 
   // ---- sample tiles for mapping quality -----------------------------------
-  mapping::MapperParams mparams;
-  mparams.region = plan.sub_a;
-  // C_PE: buffer capacity reserved per S_PE for high-degree vertices,
-  // capped so hotspot vertices spread over the S_PEs instead of piling onto
-  // a few (Algorithm 1 maps them round-robin).
-  mparams.c_pe_slots = std::clamp<std::uint32_t>(
-      static_cast<std::uint32_t>(cfg.pe.bank_buffer_bytes /
-                                 std::max<Bytes>(1, tparams.feature_bytes) /
-                                 16),
-      1, 8);
-
   const std::size_t num_tiles = tiling.num_tiles();
   const std::size_t samples = std::min<std::size_t>(cal_.sampled_tiles,
                                                     num_tiles);
@@ -83,14 +43,7 @@ RunMetrics AnalyticModel::run_impl(const graph::Dataset& dataset,
   for (std::size_t i = 0; i < samples; ++i) {
     const std::size_t ti = i * num_tiles / samples;
     const graph::Tile& tile = tiling.tiles[ti];
-    mparams.pe_vertex_slots = std::max<std::uint32_t>(
-        4, 2 * tile.num_vertices() / plan.sub_a_pes() + 2);
-    const mapping::Mapping map =
-        degree_aware
-            ? mapping::degree_aware_map(g, tile.vertex_begin, tile.vertex_end,
-                                        mparams)
-            : mapping::hashing_map(g, tile.vertex_begin, tile.vertex_end,
-                                   mparams);
+    const mapping::Mapping map = map_tile(cfg, g, layer_plan, ti);
     const noc::NocConfig noc_cfg =
         degree_aware ? compose_noc_config(plan, map)
                      : noc::NocConfig(cfg.array_dim);
@@ -118,18 +71,7 @@ RunMetrics AnalyticModel::run_impl(const graph::Dataset& dataset,
   auto flits_of = [&](double bytes) {
     return std::ceil(bytes / static_cast<double>(cfg.noc.flit_bytes));
   };
-  // Aggregation messages move in stored format: sparse input features stay
-  // compressed on chip unless a MatVec-style edge update densifies them
-  // (mirrors the cycle engine's message sizing).
-  const auto& eu_op_list = wf.phase(gnn::Phase::kEdgeUpdate).ops;
-  const bool eu_densifies =
-      std::find(eu_op_list.begin(), eu_op_list.end(), gnn::OpKind::kMatVec) !=
-      eu_op_list.end();
-  const double msg_bytes =
-      (wf.update_first || eu_densifies)
-          ? static_cast<double>(fv) * static_cast<double>(elem)
-          : static_cast<double>(
-                feature_vector_bytes(wf.layer.in_dim, traffic_params));
+  const auto msg_bytes = static_cast<double>(layer_plan.agg_msg_bytes);
   const double flits_per_msg = flits_of(msg_bytes);
   const double cross_msgs = m * cross_frac;
 
@@ -178,16 +120,6 @@ RunMetrics AnalyticModel::run_impl(const graph::Dataset& dataset,
                          imbalance * flits_per_msg *
                          cal_.hotspot_serialization / hotspot_ports;
   const double comm_cycles = std::max(transport, hotspot);
-  if (std::getenv("AURORA_DEBUG_ANALYTIC") != nullptr) {
-    std::fprintf(stderr,
-                 "[analytic] n=%u m=%llu uf=%d msg=%.0f flits=%.0f cross=%.0f "
-                 "hops=%.2f imb=%.2f agg=%.0f mv=%.0f ring=%.0f transport=%.0f "
-                 "hotspot=%.0f\n",
-                 wf.num_vertices, (unsigned long long)wf.num_edges,
-                 (int)wf.update_first, msg_bytes, flits_per_msg, cross_msgs,
-                 avg_hops, imbalance, agg_flit_hops, mv_flit_hops,
-                 ring_flit_hops, transport, hotspot);
-  }
 
   // Compute time per stage (Algorithm 2's estimates plus task overheads).
   const double ops_a =
@@ -237,30 +169,22 @@ RunMetrics AnalyticModel::run_impl(const graph::Dataset& dataset,
   const double total = std::max(stage + fill, dram_cycles);
 
   // ---- metrics -------------------------------------------------------------
-  RunMetrics metrics;
-  metrics.partition_a = plan.sub_a_pes();
-  metrics.partition_b = plan.sub_b_pes();
-  metrics.num_subgraphs = static_cast<std::uint32_t>(num_tiles);
-  metrics.utilization = split.single_accelerator ? 1.0 : split.utilization();
+  RunMetrics metrics = plan_metrics(cfg, wf, layer_plan);
   metrics.compute_cycles = static_cast<Cycle>(compute_a + compute_b);
   metrics.onchip_comm_cycles = static_cast<Cycle>(comm_cycles);
   metrics.dram_cycles = static_cast<Cycle>(dram_cycles);
-  metrics.reconfig_cycles =
-      cfg.reconfiguration_cycles() + AuroraConfig::kHeuristicCycles;
   metrics.total_cycles =
       static_cast<Cycle>(total) + metrics.reconfig_cycles;
-  metrics.dram_bytes = traffic.total();
   metrics.dram_accesses = traffic.total() / cfg.dram.burst_bytes;
   metrics.noc_messages = static_cast<std::uint64_t>(cross_msgs);
   metrics.avg_hops = avg_hops;
   metrics.bypass_messages =
       static_cast<std::uint64_t>(cross_msgs * bypass_frac);
-  metrics.reconfigurations = num_tiles;
   metrics.switch_writes = switch_writes_per_tile * num_tiles;
 
   // Per-phase attribution from the closed-form terms — same schema and the
-  // same sum invariants as the cycle engine (phase dram_bytes sum to
-  // dram_bytes, phase noc_messages to noc_messages). Sub-A's compute is
+  // same sum invariants as the cycle engine (phase noc_messages sum to
+  // noc_messages; the plan attributed the DRAM bytes). Sub-A's compute is
   // split between edge update and aggregation by op count; aggregation also
   // owns the gather traffic's transport time, vertex update sub-B's ring
   // compute. Cross-PE gather messages are aggregation; the slice/ring/
@@ -278,17 +202,6 @@ RunMetrics AnalyticModel::run_impl(const graph::Dataset& dataset,
         static_cast<Cycle>(compute_b);
     metrics.phase(gnn::Phase::kAggregation).noc_messages =
         metrics.noc_messages;
-    const gnn::Phase load_phase = wf.needs_edge_update()
-                                      ? gnn::Phase::kEdgeUpdate
-                                      : gnn::Phase::kAggregation;
-    const gnn::Phase out_phase = wf.needs_vertex_update()
-                                     ? gnn::Phase::kVertexUpdate
-                                     : load_phase;
-    metrics.phase(load_phase).dram_bytes +=
-        traffic.input_features + traffic.halo_features + traffic.adjacency +
-        traffic.edge_embeddings;
-    metrics.phase(out_phase).dram_bytes +=
-        traffic.weights + traffic.output_features + traffic.intermediate_spill;
   }
 
   metrics.events.fp_multiplies = wf.total_ops() / 2;

@@ -1,11 +1,12 @@
 // The analytic performance/energy model.
 //
-// Shares every *decision* with the cycle engine — workflow, Algorithm 2
-// partition, tiling, Algorithm 1 mapping, NoC configuration — and replaces
-// only the flit/task simulation with closed-form estimates driven by the
-// mapping-quality statistics of sampled tiles. Contention constants are
-// calibrated against the cycle engine (see tests/test_core.cpp's
-// cross-validation test and bench/ablation_mapping).
+// Executes the same layer plan as the cycle engine (core::plan_layer:
+// Algorithm 2 partition, tiling, DRAM traffic, Algorithm 1 parameters) and
+// replaces only the flit/task simulation with closed-form estimates driven
+// by the mapping-quality statistics of sampled tiles. Sampled tiles map
+// under config.mapping_policy; the hashing policy is evaluated on a plain
+// mesh. Contention constants are calibrated against the cycle engine (see
+// tests/test_core.cpp's cross-validation test and bench/ablation_mapping).
 //
 // Use it where the cycle engine is impractical: full-scale datasets
 // (Fig 7-10 at paper sizes) and wide parameter sweeps.
@@ -47,18 +48,7 @@ class AnalyticModel {
                                      const gnn::Workflow& workflow,
                                      const DramTrafficParams& traffic) const;
 
-  /// Variant used by the mapping ablation: run with the hashing baseline
-  /// mapping and a plain mesh instead of Algorithm 1 + bypass links.
-  [[nodiscard]] RunMetrics run_layer_hashing(
-      const graph::Dataset& dataset, const gnn::Workflow& workflow,
-      const DramTrafficParams& traffic) const;
-
  private:
-  [[nodiscard]] RunMetrics run_impl(const graph::Dataset& dataset,
-                                    const gnn::Workflow& workflow,
-                                    const DramTrafficParams& traffic,
-                                    bool degree_aware) const;
-
   AuroraConfig config_;
   AnalyticCalibration cal_;
 };

@@ -112,9 +112,6 @@ RunMetrics AuroraAccelerator::run_layer(const graph::Dataset& dataset,
   if (config_.mode == SimMode::kCycleAccurate) {
     return cycle_engine_.run_layer(dataset, wf, traffic);
   }
-  if (config_.mapping_policy == MappingPolicy::kHashing) {
-    return analytic_model_.run_layer_hashing(dataset, wf, traffic);
-  }
   return analytic_model_.run_layer(dataset, wf, traffic);
 }
 

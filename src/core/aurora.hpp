@@ -1,6 +1,6 @@
-// The Aurora accelerator facade: the public entry point tying together the
-// controllers, workflow generation, partition, mapping, NoC/PE configuration
-// and the execution engines.
+// The Aurora accelerator facade: the public entry point that generates each
+// layer's workflow and runs it on the engine config.mode selects; the
+// engines take every per-layer decision from core::plan_layer.
 #pragma once
 
 #include <vector>

@@ -8,12 +8,9 @@
 
 #include "common/error.hpp"
 #include "common/metrics_registry.hpp"
-#include "core/controllers.hpp"
 #include "core/sub_accelerators.hpp"
 #include "dram/dram.hpp"
-#include "mapping/mapper.hpp"
 #include "noc/network.hpp"
-#include "partition/partition.hpp"
 #include "pe/pe.hpp"
 #include "sim/invariants.hpp"
 #include "sim/sampler.hpp"
@@ -100,25 +97,11 @@ RunMetrics CycleEngine::run_layer(const graph::Dataset& dataset,
   const auto fv = wf.edge_feature_dim;           // aggregation vector width
   const auto out_dim = wf.layer.out_dim;
 
-  // ---- decisions: partition, plan, tiling --------------------------------
-  const auto split = partition::partition(
-      partition::partition_input_from_workflow(wf, cfg.num_pes(),
-                                               cfg.flops_per_pe));
-  const SubAcceleratorPlan plan = make_plan(cfg, split);
-
-  graph::TilingParams tparams;
-  tparams.feature_bytes =
-      feature_vector_bytes(wf.layer.in_dim, traffic_params);
-  tparams.edge_bytes = 8;
-  // Tiles size against the WHOLE distributed buffer: features spread across
-  // both sub-accelerators (the DRAM crossbar feeds every PE row), with
-  // weights confined to sub-B (paper Sec VI-B: "fully utilize the on-chip
-  // buffer capacity").
-  tparams.capacity_bytes = static_cast<Bytes>(
-      cfg.buffer_fill_fraction * static_cast<double>(cfg.total_buffer_bytes()));
-  const graph::Tiling tiling = graph::tile_graph(g, tparams);
-  const DramTraffic traffic =
-      aurora_dram_traffic(dataset, wf, tiling, traffic_params);
+  // ---- decisions: the layer's plan ----------------------------------------
+  const LayerPlan layer_plan = plan_layer(cfg, dataset, wf, traffic_params);
+  const SubAcceleratorPlan& plan = layer_plan.sub_accelerators;
+  const graph::Tiling& tiling = layer_plan.tiling;
+  const DramTraffic& traffic = layer_plan.traffic;
 
   // ---- components --------------------------------------------------------
   sim::Simulator sim;
@@ -189,8 +172,6 @@ RunMetrics CycleEngine::run_layer(const graph::Dataset& dataset,
     if (cfg.check_invariants) checker.check_now(sim.now());
   };
 
-  ConfigurationUnit config_unit(k);
-
   // ---- per-tile dataflow state -------------------------------------------
   std::vector<Action> actions;
   std::vector<std::uint32_t> pending;   // remaining accumulations per vertex
@@ -233,20 +214,8 @@ RunMetrics CycleEngine::run_layer(const graph::Dataset& dataset,
 
   const bool has_eu = wf.needs_edge_update();
   const bool has_vu = wf.needs_vertex_update();
-  // Aggregation messages travel in their stored format: sparse input
-  // features stay compressed on chip unless an edge-update transform
-  // densifies them (MatVec-style edge updates do; scalar/dot ones do not).
   const bool update_first = wf.update_first;
-  const auto& eu_op_list = wf.phase(gnn::Phase::kEdgeUpdate).ops;
-  const bool eu_densifies =
-      std::find(eu_op_list.begin(), eu_op_list.end(), gnn::OpKind::kMatVec) !=
-      eu_op_list.end();
-  // Update-first traffic is dense H-wide transformed vectors; otherwise raw
-  // features travel in stored (possibly sparse) form unless densified.
-  const Bytes agg_msg_bytes =
-      (update_first || eu_densifies)
-          ? static_cast<Bytes>(fv) * elem
-          : feature_vector_bytes(wf.layer.in_dim, traffic_params);
+  const Bytes agg_msg_bytes = layer_plan.agg_msg_bytes;
   const auto& vu_ops = wf.phase(gnn::Phase::kVertexUpdate).ops;
   const bool vu_has_act = std::find(vu_ops.begin(), vu_ops.end(),
                                     gnn::OpKind::kActivation) != vu_ops.end();
@@ -441,22 +410,7 @@ RunMetrics CycleEngine::run_layer(const graph::Dataset& dataset,
     tracer_->record(0, sim::TraceEvent::kRunBegin, sim::kRunKindChip,
                     tiling.num_tiles());
   }
-  RunMetrics metrics;
-  metrics.partition_a = plan.sub_a_pes();
-  metrics.partition_b = plan.sub_b_pes();
-  metrics.num_subgraphs = static_cast<std::uint32_t>(tiling.num_tiles());
-  metrics.utilization = split.single_accelerator ? 1.0 : split.utilization();
-
-  mapping::MapperParams mparams;
-  mparams.region = plan.sub_a;
-  // C_PE: buffer capacity reserved per S_PE for high-degree vertices,
-  // capped so hotspot vertices spread over the S_PEs instead of piling onto
-  // a few (Algorithm 1 maps them round-robin).
-  mparams.c_pe_slots = std::clamp<std::uint32_t>(
-      static_cast<std::uint32_t>(cfg.pe.bank_buffer_bytes /
-                                 std::max<Bytes>(1, tparams.feature_bytes) /
-                                 16),
-      1, 8);
+  RunMetrics metrics = plan_metrics(cfg, wf, layer_plan);
 
   Bytes next_addr = 0;
   auto enqueue_stream = [&](Bytes bytes) {
@@ -488,21 +442,12 @@ RunMetrics CycleEngine::run_layer(const graph::Dataset& dataset,
     const VertexId tile_n = tile.num_vertices();
 
     // -- mapping + NoC reconfiguration (overlapped except for tile 0).
-    mparams.pe_vertex_slots =
-        std::max<std::uint32_t>(4, 2 * tile_n / plan.sub_a_pes() + 2);
-    const mapping::Mapping map =
-        cfg.mapping_policy == MappingPolicy::kDegreeAware
-            ? mapping::degree_aware_map(g, tile.vertex_begin, tile.vertex_end,
-                                        mparams)
-            : mapping::hashing_map(g, tile.vertex_begin, tile.vertex_end,
-                                   mparams);
+    const mapping::Mapping map = map_tile(cfg, g, layer_plan, ti);
     // The hashing mapping has no S_PEs, so compose yields a plain mesh plus
-    // the sub-B rings — exactly the CGRA-ME baseline configuration.
-    const noc::NocConfig noc_cfg = compose_noc_config(plan, map);
-    const std::uint64_t writes = config_unit.apply(noc_cfg);
+    // the sub-B rings — exactly the CGRA-ME baseline configuration. The
+    // network counts the switch writes from the configuration it held.
+    const std::uint64_t writes = net.configure(compose_noc_config(plan, map));
     metrics.switch_writes += writes;
-    net.configure(noc_cfg);
-    ++metrics.reconfigurations;
     if (tracer_ != nullptr) {
       tracer_->record(sim.now(), sim::TraceEvent::kReconfigure, ti, writes);
       tracer_->record(sim.now(), sim::TraceEvent::kTileStart, ti, tile_n);
@@ -511,7 +456,7 @@ RunMetrics CycleEngine::run_layer(const graph::Dataset& dataset,
     // -- DRAM load of this tile's working set.
     Bytes load_bytes =
         static_cast<Bytes>(tile_n + tile.num_halo_vertices) *
-            tparams.feature_bytes +
+            layer_plan.tiling_params.feature_bytes +
         static_cast<Bytes>(tile_n) * 8 + tile.num_edges * 4;
     if (gnn::model_has_edge_embeddings(wf.model)) {
       load_bytes += tile.num_edges * static_cast<Bytes>(fv) * elem;
@@ -657,11 +602,8 @@ RunMetrics CycleEngine::run_layer(const graph::Dataset& dataset,
   }
 
   // ---- final metrics ------------------------------------------------------
-  metrics.total_cycles = std::max(compute_free, dram_free) +
-                         config_unit.exposed_cycles() +
-                         AuroraConfig::kHeuristicCycles;
-  metrics.reconfig_cycles =
-      config_unit.exposed_cycles() + AuroraConfig::kHeuristicCycles;
+  metrics.total_cycles =
+      std::max(compute_free, dram_free) + metrics.reconfig_cycles;
   if (tracer_ != nullptr) {
     tracer_->record(metrics.total_cycles, sim::TraceEvent::kRunEnd,
                     metrics.total_cycles, metrics.reconfig_cycles);
@@ -704,29 +646,16 @@ RunMetrics CycleEngine::run_layer(const graph::Dataset& dataset,
         busy_sum / (static_cast<double>(cfg.num_pes()) *
                     std::max(1.0, static_cast<double>(metrics.total_cycles)));
   }
-  metrics.dram_bytes = traffic.total();
   metrics.dram_accesses = dram.stats().bursts;
   metrics.noc_messages = net.stats().packets_injected;
   metrics.avg_hops = net.stats().avg_hops();
   metrics.bypass_messages = net.stats().bypass_flit_hops;
 
-  // Per-phase attribution. NoC messages were counted at each send site, so
-  // their sum equals noc_messages. DRAM bytes follow a consumer rule — tile
-  // loads (features, halos, adjacency, edge state) feed the first phase
-  // that reads them; weights and output stores belong to the producer of
-  // the final features — and sum exactly to dram_bytes.
+  // Per-phase NoC messages were counted at each send site, so their sum
+  // equals noc_messages; the plan attributed the DRAM bytes.
   for (std::size_t p = 0; p < kNumPhases; ++p) {
     metrics.phases[p].noc_messages = phase_msgs[p];
   }
-  const gnn::Phase load_phase =
-      has_eu ? gnn::Phase::kEdgeUpdate : gnn::Phase::kAggregation;
-  const gnn::Phase out_phase =
-      has_vu ? gnn::Phase::kVertexUpdate : load_phase;
-  metrics.phase(load_phase).dram_bytes +=
-      traffic.input_features + traffic.halo_features + traffic.adjacency +
-      traffic.edge_embeddings;
-  metrics.phase(out_phase).dram_bytes +=
-      traffic.weights + traffic.output_features + traffic.intermediate_spill;
   metrics.noc_packet_latency.merge(net.stats().packet_latency_hist);
   metrics.dram_request_latency.merge(dram.stats().request_latency_hist);
 

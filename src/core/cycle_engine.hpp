@@ -1,6 +1,6 @@
 // The cycle-accurate execution engine: simulates one GNN layer at
 // flit/task granularity over the PE array, the reconfigurable NoC and the
-// DRAM model, driven by the degree-aware mapping and partition decisions.
+// DRAM model, executing the layer's plan (core::plan_layer).
 //
 // Execution of one tile (subgraph), mirroring Fig 2:
 //   1. degree-aware mapping of the tile onto sub-accelerator A;

@@ -4,12 +4,8 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "core/dram_traffic.hpp"
 #include "core/sub_accelerators.hpp"
 #include "gnn/workflow.hpp"
-#include "graph/tiling.hpp"
-#include "mapping/mapper.hpp"
-#include "partition/partition.hpp"
 #include "pe/datapath.hpp"
 #include "pe/ppu.hpp"
 
@@ -57,17 +53,11 @@ gnn::Matrix FunctionalEngine::run_layer(const graph::Dataset& dataset,
                                static_cast<std::uint32_t>(out_cols)};
   const gnn::Workflow wf = gnn::generate_workflow(
       model, layer, g.num_vertices(), g.num_edges());
-  const auto split = partition::partition(
-      partition::partition_input_from_workflow(wf, config_.num_pes(),
-                                               config_.flops_per_pe));
-  const SubAcceleratorPlan plan = make_plan(config_, split);
-
-  graph::TilingParams tparams;
-  tparams.feature_bytes = static_cast<Bytes>(f) * config_.element_bytes;
-  tparams.capacity_bytes = static_cast<Bytes>(
-      config_.buffer_fill_fraction *
-      static_cast<double>(config_.total_buffer_bytes()));
-  const graph::Tiling tiling = graph::tile_graph(g, tparams);
+  DramTrafficParams traffic;  // dense input features
+  traffic.element_bytes = config_.element_bytes;
+  const LayerPlan layer_plan = plan_layer(config_, dataset, wf, traffic);
+  const SubAcceleratorPlan& plan = layer_plan.sub_accelerators;
+  const graph::Tiling& tiling = layer_plan.tiling;
 
   stats_.tiles = static_cast<std::uint32_t>(tiling.num_tiles());
   stats_.sub_a_pes = plan.sub_a_pes();

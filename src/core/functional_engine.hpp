@@ -2,9 +2,9 @@
 // dataflow.
 //
 // Where the cycle engine models *time* and abstracts values, this engine
-// models *values* and abstracts time: it walks the exact same decisions —
-// Algorithm 2 partition, sub-accelerator plan, tiling, Algorithm 1 mapping —
-// and executes the real arithmetic the dataflow implies:
+// models *values* and abstracts time: it executes the same layer plan
+// (core::plan_layer: Algorithm 2 partition, sub-accelerators, tiling) and
+// the real arithmetic the dataflow implies:
 //   * per-edge updates run through the structural PE datapath (scalar,
 //     dot-product, gate, MLP wirings) at the source vertex's PE;
 //   * aggregation accumulates (or max-reduces) at the owner PE in the

@@ -81,4 +81,93 @@ noc::NocConfig compose_noc_config(const SubAcceleratorPlan& plan,
   return config;
 }
 
+LayerPlan plan_layer(const AuroraConfig& config, const graph::Dataset& dataset,
+                     const gnn::Workflow& workflow,
+                     const DramTrafficParams& traffic) {
+  LayerPlan plan;
+  plan.split = partition::partition(partition::partition_input_from_workflow(
+      workflow, config.num_pes(), config.flops_per_pe));
+  plan.sub_accelerators = make_plan(config, plan.split);
+
+  plan.tiling_params.feature_bytes =
+      feature_vector_bytes(workflow.layer.in_dim, traffic);
+  plan.tiling_params.edge_bytes = 8;
+  // Tiles size against the WHOLE distributed buffer: features spread across
+  // both sub-accelerators (the DRAM crossbar feeds every PE row), with
+  // weights confined to sub-B (paper Sec VI-B: "fully utilize the on-chip
+  // buffer capacity").
+  plan.tiling_params.capacity_bytes = static_cast<Bytes>(
+      config.buffer_fill_fraction *
+      static_cast<double>(config.total_buffer_bytes()));
+  plan.tiling = graph::tile_graph(dataset.graph, plan.tiling_params);
+  plan.traffic = aurora_dram_traffic(dataset, workflow, plan.tiling, traffic);
+
+  const auto& eu_ops = workflow.phase(gnn::Phase::kEdgeUpdate).ops;
+  const bool eu_densifies =
+      std::find(eu_ops.begin(), eu_ops.end(), gnn::OpKind::kMatVec) !=
+      eu_ops.end();
+  plan.agg_msg_bytes =
+      (workflow.update_first || eu_densifies)
+          ? static_cast<Bytes>(workflow.edge_feature_dim) * config.element_bytes
+          : plan.tiling_params.feature_bytes;
+
+  mapping::MapperParams params;
+  params.region = plan.sub_accelerators.sub_a;
+  // C_PE: buffer capacity reserved per S_PE for high-degree vertices,
+  // capped so hotspot vertices spread over the S_PEs instead of piling onto
+  // a few (Algorithm 1 maps them round-robin).
+  params.c_pe_slots = std::clamp<std::uint32_t>(
+      static_cast<std::uint32_t>(
+          config.pe.bank_buffer_bytes /
+          std::max<Bytes>(1, plan.tiling_params.feature_bytes) / 16),
+      1, 8);
+  plan.mapper_params.reserve(plan.tiling.num_tiles());
+  for (const graph::Tile& tile : plan.tiling.tiles) {
+    params.pe_vertex_slots = std::max<std::uint32_t>(
+        4, 2 * tile.num_vertices() / plan.sub_accelerators.sub_a_pes() + 2);
+    plan.mapper_params.push_back(params);
+  }
+  return plan;
+}
+
+mapping::Mapping map_tile(const AuroraConfig& config,
+                          const graph::CsrGraph& graph, const LayerPlan& plan,
+                          std::size_t tile) {
+  const graph::Tile& t = plan.tiling.tiles.at(tile);
+  const mapping::MapperParams& params = plan.mapper_params[tile];
+  return config.mapping_policy == MappingPolicy::kDegreeAware
+             ? mapping::degree_aware_map(graph, t.vertex_begin, t.vertex_end,
+                                         params)
+             : mapping::hashing_map(graph, t.vertex_begin, t.vertex_end,
+                                    params);
+}
+
+RunMetrics plan_metrics(const AuroraConfig& config,
+                        const gnn::Workflow& workflow, const LayerPlan& plan) {
+  RunMetrics metrics;
+  metrics.partition_a = plan.sub_accelerators.sub_a_pes();
+  metrics.partition_b = plan.sub_accelerators.sub_b_pes();
+  metrics.utilization =
+      plan.split.single_accelerator ? 1.0 : plan.split.utilization();
+  metrics.num_subgraphs = static_cast<std::uint32_t>(plan.tiling.num_tiles());
+  // Each tile's reconfiguration overlaps the previous tile's compute; only
+  // the first one is exposed.
+  metrics.reconfigurations = plan.tiling.num_tiles();
+  metrics.reconfig_cycles =
+      config.reconfiguration_cycles() + AuroraConfig::kHeuristicCycles;
+
+  const DramTraffic& t = plan.traffic;
+  metrics.dram_bytes = t.total();
+  const gnn::Phase load_phase = workflow.needs_edge_update()
+                                    ? gnn::Phase::kEdgeUpdate
+                                    : gnn::Phase::kAggregation;
+  const gnn::Phase out_phase =
+      workflow.needs_vertex_update() ? gnn::Phase::kVertexUpdate : load_phase;
+  metrics.phase(load_phase).dram_bytes += t.input_features + t.halo_features +
+                                          t.adjacency + t.edge_embeddings;
+  metrics.phase(out_phase).dram_bytes +=
+      t.weights + t.output_features + t.intermediate_spill;
+  return metrics;
+}
+
 }  // namespace aurora::core

@@ -26,6 +26,13 @@ Cycle scale_mul(Cycle v, double factor) {
       std::llround(static_cast<double>(v) * factor));
 }
 
+/// Fault-plan chip transitions and dynamic-graph events, recorded on the
+/// serving clock between runs; they bound no run's critical path.
+bool is_serving_clock_annotation(TraceEvent kind) {
+  return kind == TraceEvent::kChipDown || kind == TraceEvent::kChipUp ||
+         kind == TraceEvent::kGraphMutation || kind == TraceEvent::kReshard;
+}
+
 /// Deterministic proportional sub-split of a binding DRAM span by the row
 /// buffer outcomes its requests saw; the conflict share takes the integer
 /// remainder so the three parts always sum to the span.
@@ -511,6 +518,10 @@ CritPathReport analyze_critical_path(const sim::Tracer& tracer,
 
   std::vector<RunModel> models;
   while (i < recs.size()) {
+    if (is_serving_clock_annotation(recs[i].kind)) {
+      ++i;
+      continue;
+    }
     AURORA_CHECK_MSG(recs[i].kind == TraceEvent::kRunBegin,
                      "expected a run-begin record, found "
                          << sim::trace_event_name(recs[i].kind));

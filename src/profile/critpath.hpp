@@ -130,7 +130,9 @@ struct AnalyzeOptions {
   std::vector<WhatIfScenario> scenarios;
 };
 
-/// Analyze every complete run recorded in `tracer`. Throws common::Error on
+/// Analyze every complete run recorded in `tracer`. Between runs it skips
+/// the serving-clock annotations (chip down/up, graph mutation, reshard);
+/// any other record outside a run is malformed. Throws common::Error on
 /// truncated or malformed traces unless options.allow_truncated is set.
 [[nodiscard]] CritPathReport analyze_critical_path(
     const sim::Tracer& tracer, const AnalyzeOptions& options = {});

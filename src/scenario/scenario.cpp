@@ -7,15 +7,6 @@
 
 namespace aurora::scenario {
 
-int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
-  try {
-    return body(argc, argv);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
-
 ClusterScenario read_cluster(const CliArgs& args) {
   ClusterScenario s;
   s.params.num_chips = args.get_uint("chips", 1, 1);
@@ -95,6 +86,12 @@ Artifacts::Artifacts(const CliArgs& args, bool trace)
                              : profile::parse_what_if_list(what_if);
   }
   tracer_.enable(trace || critpath_ || !trace_out_.empty());
+}
+
+Artifacts Artifacts::metrics_only(const CliArgs& args) {
+  Artifacts artifacts;
+  artifacts.metrics_out_ = args.get_string("metrics-out", "");
+  return artifacts;
 }
 
 void Artifacts::emit(std::vector<core::NamedRun>& runs,

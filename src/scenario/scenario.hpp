@@ -18,10 +18,6 @@
 
 namespace aurora::scenario {
 
-/// Runs a main's body; an aurora::Error from it (a bad flag, a bad INI
-/// key, a failed analysis) becomes `error: <message>` and exit code 1.
-int guarded_main(int argc, char** argv, int (*body)(int, char**));
-
 struct ClusterScenario {
   cluster::ClusterParams params;
   cluster::DispatchMode mode = cluster::DispatchMode::kDataParallel;
@@ -85,6 +81,8 @@ class Artifacts {
   /// --allow-truncated-trace. `trace` turns the tracer on for the main's own
   /// use (simulate's --trace timeline).
   explicit Artifacts(const CliArgs& args, bool trace = false);
+  /// Reads only --metrics-out, for a run that records no trace.
+  [[nodiscard]] static Artifacts metrics_only(const CliArgs& args);
 
   /// The tracer to attach to the run, or nullptr when nothing reads one.
   [[nodiscard]] sim::Tracer* tracer() {
@@ -101,6 +99,8 @@ class Artifacts {
             const sim::Sampler* sampler = nullptr);
 
  private:
+  Artifacts() = default;
+
   std::string trace_out_;
   std::string metrics_out_;
   std::string critpath_out_;

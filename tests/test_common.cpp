@@ -434,45 +434,12 @@ TEST(Check, ThrowsWithMessage) {
   }
 }
 
-// Restores the process-wide budget cap on scope exit so tests never leak a
-// shrunken cap into each other.
-struct BudgetCapGuard {
-  explicit BudgetCapGuard(unsigned cap) {
-    WorkerBudget::instance().set_cap(cap);
-  }
-  ~BudgetCapGuard() { WorkerBudget::instance().set_cap(0); }
-};
-
-TEST(WorkerBudget, GrantsUpToCapAndRebalancesOnRelease) {
-  BudgetCapGuard guard(3);
-  auto& budget = WorkerBudget::instance();
-  const unsigned base = budget.in_use();
-  const unsigned first = budget.acquire(2);
-  EXPECT_EQ(first, std::min(2u, 3u - std::min(3u, base)));
-  const unsigned second = budget.acquire(8);
-  EXPECT_LE(base + first + second, 3u);  // never exceeds the cap
-  budget.release(first + second);
-  EXPECT_EQ(budget.in_use(), base);
-}
-
-TEST(WorkerBudget, ExhaustedBudgetGrantsZero) {
-  BudgetCapGuard guard(1);
-  auto& budget = WorkerBudget::instance();
-  const unsigned all = budget.acquire(4);
-  EXPECT_LE(all, 1u);
-  EXPECT_EQ(budget.acquire(1), 0u);  // nothing left — caller runs inline
-  budget.release(all);
-}
-
 TEST(ParallelFor, MatchesSerialResultAndReleasesBudget) {
-  auto& budget = WorkerBudget::instance();
-  const unsigned before = budget.in_use();
   std::vector<int> out(64, 0);
   parallel_for(out.size(), 4,
                [&](std::size_t i) { out[i] = static_cast<int>(i * i); });
   for (std::size_t i = 0; i < out.size(); ++i)
     EXPECT_EQ(out[i], static_cast<int>(i * i));
-  EXPECT_EQ(budget.in_use(), before);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the Aurora core: controllers, sub-accelerator formation, DRAM
+// Tests for the Aurora core: configuration, sub-accelerator formation, DRAM
 // traffic accounting, the cycle engine, the analytic model, and the facade.
 #include <gtest/gtest.h>
 
@@ -8,8 +8,6 @@
 #include "common/rng.hpp"
 #include "core/aurora.hpp"
 #include "core/config_io.hpp"
-#include "core/frontend.hpp"
-#include "sim/simulator.hpp"
 #include "core/functional_engine.hpp"
 #include "core/sub_accelerators.hpp"
 #include "gnn/reference.hpp"
@@ -31,62 +29,10 @@ graph::Dataset small_dataset(double scale = 0.05) {
   return graph::make_dataset(graph::DatasetId::kCora, scale);
 }
 
-// ----------------------------------------------------------- controllers
+// ------------------------------------------------------------ configuration
 
-TEST(RequestDispatcher, FifoOrderAndIds) {
-  RequestDispatcher d;
-  d.submit({gnn::GnnModel::kGcn, {8, 4}, 0});
-  d.submit({gnn::GnnModel::kGin, {8, 4}, 0});
-  EXPECT_TRUE(d.has_pending());
-  const HostRequest a = d.next();
-  const HostRequest b = d.next();
-  EXPECT_EQ(a.model, gnn::GnnModel::kGcn);
-  EXPECT_EQ(b.model, gnn::GnnModel::kGin);
-  EXPECT_LT(a.request_id, b.request_id);
-  EXPECT_FALSE(d.has_pending());
-  EXPECT_THROW((void)d.next(), Error);
-}
-
-TEST(InstructionBuffer, BoundedFifo) {
-  InstructionBuffer buf(2);
-  EXPECT_TRUE(buf.push({InstrKind::kLoadSubgraph, 0}));
-  EXPECT_TRUE(buf.push({InstrKind::kRunAggregation, 0}));
-  EXPECT_FALSE(buf.push({InstrKind::kStoreOutputs, 0}));
-  Instruction i;
-  EXPECT_TRUE(buf.pop(i));
-  EXPECT_EQ(i.kind, InstrKind::kLoadSubgraph);
-}
-
-TEST(InstructionStream, SkipsAbsentPhases) {
-  const auto wf_gin =
-      gnn::generate_workflow(gnn::GnnModel::kGin, {8, 4}, 100, 400);
-  const auto stream = build_instruction_stream(wf_gin, 2);
-  for (const auto& instr : stream) {
-    EXPECT_NE(instr.kind, InstrKind::kRunEdgeUpdate);
-  }
-  // Per subgraph: configure NoC + PEs, load, aggregate, vertex update, store.
-  EXPECT_EQ(stream.size(), 2u * 6);
-
-  const auto wf_ec =
-      gnn::generate_workflow(gnn::GnnModel::kEdgeConv1, {8, 4}, 100, 400);
-  const auto stream_ec = build_instruction_stream(wf_ec, 1);
-  bool has_vu = false;
-  for (const auto& instr : stream_ec) {
-    has_vu = has_vu || instr.kind == InstrKind::kRunVertexUpdate;
-  }
-  EXPECT_FALSE(has_vu);
-}
-
-TEST(ConfigurationUnit, LatencyAndSwitchWrites) {
-  ConfigurationUnit cu(32);
-  EXPECT_EQ(cu.latency_per_reconfiguration(), 63u);  // 2K-1 (paper VI-D)
-  EXPECT_EQ(cu.exposed_cycles(), 0u);
-  noc::NocConfig cfg(32);
-  cfg.add_row_segment({0, 0, 31});
-  EXPECT_GT(cu.apply(cfg), 0u);
-  EXPECT_EQ(cu.exposed_cycles(), 63u);
-  EXPECT_EQ(cu.apply(cfg), 0u);  // unchanged config: no writes
-  EXPECT_EQ(cu.count(), 2u);
+TEST(AuroraConfig, ReconfigurationTakesTwoKMinusOneCycles) {
+  EXPECT_EQ(AuroraConfig::paper().reconfiguration_cycles(), 63u);  // VI-D
 }
 
 // ----------------------------------------------------- sub-accelerator plan
@@ -564,7 +510,8 @@ TEST(AnalyticModel, HashingMappingIsWorse) {
                                          ds.num_vertices(), ds.num_edges());
   DramTrafficParams tp;
   const auto aware = model.run_layer(ds, wf, tp);
-  const auto hashed = model.run_layer_hashing(ds, wf, tp);
+  cfg.mapping_policy = MappingPolicy::kHashing;
+  const auto hashed = AnalyticModel(cfg).run_layer(ds, wf, tp);
   EXPECT_LT(aware.avg_hops, hashed.avg_hops);
   EXPECT_LE(aware.onchip_comm_cycles, hashed.onchip_comm_cycles);
   EXPECT_GT(aware.bypass_messages, 0u);
@@ -789,62 +736,6 @@ TEST(CycleEngine, HeatmapAccompaniesCycleRuns) {
   EXPECT_TRUE(analytic.run_layer(ds, gnn::GnnModel::kGcn, {16, 8}, 1)
                   .noc_heatmap.empty());
 }
-
-// ----------------------------------------------------- instruction dispatch
-
-TEST(InstructionDispatcher, IssuesInOrderAtCadence) {
-  InstructionBuffer buf(16);
-  ASSERT_TRUE(buf.push({InstrKind::kConfigureNoc, 0}));
-  ASSERT_TRUE(buf.push({InstrKind::kLoadSubgraph, 0}));
-  ASSERT_TRUE(buf.push({InstrKind::kRunAggregation, 0}));
-  InstructionDispatcher disp(buf, /*decode_cycles=*/2);
-  std::vector<std::pair<InstrKind, Cycle>> issued;
-  disp.set_issue_callback([&](const Instruction& i, Cycle at) {
-    issued.emplace_back(i.kind, at);
-  });
-  sim::Simulator s;
-  s.add(&disp);
-  s.run_until_idle(100);
-  ASSERT_EQ(issued.size(), 3u);
-  EXPECT_EQ(issued[0].first, InstrKind::kConfigureNoc);
-  EXPECT_EQ(issued[2].first, InstrKind::kRunAggregation);
-  EXPECT_EQ(issued[1].second - issued[0].second, 2u);
-  EXPECT_EQ(disp.issued(), 3u);
-}
-
-TEST(InstructionDispatcher, ExternalStallBlocksIssue) {
-  InstructionBuffer buf(4);
-  ASSERT_TRUE(buf.push({InstrKind::kStoreOutputs, 0}));
-  InstructionDispatcher disp(buf);
-  disp.set_stalled(true);
-  sim::Simulator s;
-  s.add(&disp);
-  s.run_cycles(10);
-  EXPECT_EQ(disp.issued(), 0u);
-  EXPECT_GE(disp.stall_cycles(), 10u);
-  disp.set_stalled(false);
-  s.run_until_idle(100);
-  EXPECT_EQ(disp.issued(), 1u);
-}
-
-TEST(InstructionDispatcher, DrivesFullStream) {
-  const auto wf =
-      gnn::generate_workflow(gnn::GnnModel::kGcn, {16, 8}, 100, 400);
-  const auto stream = build_instruction_stream(wf, 3);
-  InstructionBuffer buf(stream.size());
-  for (const auto& instr : stream) ASSERT_TRUE(buf.push(instr));
-  InstructionDispatcher disp(buf);
-  std::uint64_t configures = 0;
-  disp.set_issue_callback([&](const Instruction& i, Cycle) {
-    configures += (i.kind == InstrKind::kConfigureNoc) ? 1 : 0;
-  });
-  sim::Simulator s;
-  s.add(&disp);
-  s.run_until_idle(1000);
-  EXPECT_EQ(disp.issued(), stream.size());
-  EXPECT_EQ(configures, 3u);  // one per subgraph
-}
-
 
 TEST(GnnJobPresets, DepthsFollowLiterature) {
   const auto& spec = graph::dataset_spec(graph::DatasetId::kCora);

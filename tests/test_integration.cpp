@@ -63,9 +63,11 @@ INSTANTIATE_TEST_SUITE_P(
     AllPairs, GridCycle,
     ::testing::Combine(::testing::ValuesIn(gnn::kAllModels),
                        ::testing::ValuesIn(graph::kAllDatasets)),
-    [](const auto& info) {
-      return sanitize(std::string(gnn::model_name(std::get<0>(info.param))) +
-                      "_" + graph::dataset_name(std::get<1>(info.param)));
+    [](const auto& param_info) {
+      const gnn::GnnModel model = std::get<0>(param_info.param);
+      const graph::DatasetId dataset = std::get<1>(param_info.param);
+      return sanitize(std::string(gnn::model_name(model)) + "_" +
+                      graph::dataset_name(dataset));
     });
 
 // ------------------------------------- baselines x models, quick property
@@ -92,22 +94,28 @@ INSTANTIATE_TEST_SUITE_P(
     AllPairs, GridBaseline,
     ::testing::Combine(::testing::ValuesIn(baselines::kAllBaselines),
                        ::testing::ValuesIn(gnn::kAllModels)),
-    [](const auto& info) {
-      return sanitize(
-          std::string(baselines::baseline_name(std::get<0>(info.param))) +
-          "_" + gnn::model_name(std::get<1>(info.param)));
+    [](const auto& param_info) {
+      const baselines::BaselineId baseline = std::get<0>(param_info.param);
+      const gnn::GnnModel model = std::get<1>(param_info.param);
+      return sanitize(std::string(baselines::baseline_name(baseline)) + "_" +
+                      gnn::model_name(model));
     });
 
 // ----------------------------------------------- cross-engine consistency
 
 TEST(CrossEngine, AnalyticAndCycleAgreeOnDecisions) {
   // Same partition, same tiling, same DRAM accounting — by construction; a
-  // regression here means the engines drifted apart.
+  // regression here means the engines drifted apart. The functional engine
+  // executes the same plan for a dense hidden layer.
   auto cfg = tiny_config();
   const auto ds = graph::make_dataset(graph::DatasetId::kCora, 0.1);
   core::AuroraAccelerator cycle(cfg);
+  core::FunctionalEngine functional(cfg);
   cfg.mode = core::SimMode::kAnalytic;
   core::AuroraAccelerator analytic(cfg);
+  Rng rng(5);
+  gnn::Matrix x(ds.num_vertices(), 32);
+  x.randomize(rng);
   for (gnn::GnnModel model : gnn::kAllModels) {
     const auto mc = cycle.run_layer(ds, model, {32, 16}, 1);
     const auto ma = analytic.run_layer(ds, model, {32, 16}, 1);
@@ -115,6 +123,13 @@ TEST(CrossEngine, AnalyticAndCycleAgreeOnDecisions) {
     EXPECT_EQ(mc.partition_b, ma.partition_b) << gnn::model_name(model);
     EXPECT_EQ(mc.num_subgraphs, ma.num_subgraphs) << gnn::model_name(model);
     EXPECT_EQ(mc.dram_bytes, ma.dram_bytes) << gnn::model_name(model);
+
+    const auto params = gnn::make_reference_params(model, 32, 16, rng);
+    (void)functional.run_layer(ds, model, x, params);
+    const core::FunctionalStats& fs = functional.stats();
+    EXPECT_EQ(fs.tiles, mc.num_subgraphs) << gnn::model_name(model);
+    EXPECT_EQ(fs.sub_a_pes, mc.partition_a) << gnn::model_name(model);
+    EXPECT_EQ(fs.sub_b_pes, mc.partition_b) << gnn::model_name(model);
   }
 }
 

@@ -396,7 +396,7 @@ TEST(Network, MultipleVcsInterleavePackets) {
   p.num_vcs = 2;
   NetHarness h(p);
   Cycle first = 0, second = 0;
-  h.net.set_delivery_callback([&](const Packet& pkt, Cycle at) {
+  h.net.set_delivery_callback([&](const Packet&, Cycle at) {
     (first == 0 ? first : second) = at;
   });
   h.net.send(0, 7, 2048, 1, 0);
@@ -409,7 +409,7 @@ TEST(Network, MultipleVcsInterleavePackets) {
   p1.num_vcs = 1;
   NetHarness h1(p1);
   Cycle s1_first = 0, s1_second = 0;
-  h1.net.set_delivery_callback([&](const Packet& pkt, Cycle at) {
+  h1.net.set_delivery_callback([&](const Packet&, Cycle at) {
     (s1_first == 0 ? s1_first : s1_second) = at;
   });
   h1.net.send(0, 7, 2048, 1, 0);

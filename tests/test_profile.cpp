@@ -263,6 +263,43 @@ TEST(CritPath, TraceEndingMidRunRefusedUnlessAllowed) {
   EXPECT_TRUE(report.runs.empty());
 }
 
+TEST(CritPath, SkipsServingClockAnnotationsBetweenRuns) {
+  // Faulty and dynamic serving record chip transitions, graph mutations and
+  // reshards on the serving clock, between the runs they schedule.
+  const graph::Dataset ds = make_test_dataset(50, 120, 43);
+  sim::Tracer tracer;
+  tracer.enable();
+  core::AuroraAccelerator accel(small_config());
+  accel.set_tracer(&tracer);
+  tracer.record(0, sim::TraceEvent::kGraphMutation, 0,
+                sim::pack_u32_pair(1, 2), 121);
+  const core::RunMetrics m0 =
+      accel.run_layer(ds, gnn::GnnModel::kGcn, {8, 8}, 1);
+  tracer.record(5, sim::TraceEvent::kChipDown, 0);
+  tracer.record(9, sim::TraceEvent::kReshard, 2, 10, 12, 3);
+  tracer.record(11, sim::TraceEvent::kChipUp, 0);
+  const core::RunMetrics m1 =
+      accel.run_layer(ds, gnn::GnnModel::kGin, {8, 4}, 1);
+  tracer.record(20, sim::TraceEvent::kChipDown, 1);
+
+  const profile::CritPathReport report =
+      profile::analyze_critical_path(tracer);
+  ASSERT_EQ(report.runs.size(), 2u);
+  EXPECT_EQ(report.runs[0].total_cycles, m0.total_cycles);
+  EXPECT_EQ(report.runs[1].total_cycles, m1.total_cycles);
+  expect_exact_attribution(report);
+}
+
+TEST(CritPath, StrayRecordBetweenRunsRefused) {
+  const graph::Dataset ds = make_test_dataset(50, 120, 47);
+  sim::Tracer tracer;
+  tracer.enable();
+  (void)run_chip_layer(small_config(), ds, tracer);
+  tracer.record(3, sim::TraceEvent::kTileStart, 0, 4);  // outside any run
+  (void)run_chip_layer(small_config(), ds, tracer);
+  EXPECT_THROW((void)profile::analyze_critical_path(tracer), Error);
+}
+
 TEST(CritPath, EmptyTraceYieldsEmptyReport) {
   sim::Tracer tracer;
   tracer.enable();

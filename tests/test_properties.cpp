@@ -94,10 +94,10 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, NocGrid,
     ::testing::Combine(::testing::Values(4u, 8u), ::testing::Values(1u, 2u, 4u),
                        ::testing::Values(2u, 8u)),
-    [](const auto& info) {
-      return "k" + std::to_string(std::get<0>(info.param)) + "_vc" +
-             std::to_string(std::get<1>(info.param)) + "_buf" +
-             std::to_string(std::get<2>(info.param));
+    [](const auto& param_info) {
+      return "k" + std::to_string(std::get<0>(param_info.param)) + "_vc" +
+             std::to_string(std::get<1>(param_info.param)) + "_buf" +
+             std::to_string(std::get<2>(param_info.param));
     });
 
 // ------------------------------------ datasets: statistics follow the specs
@@ -118,9 +118,9 @@ TEST_P(DatasetStats, ScaledInstancePreservesMeanDegree) {
 
 INSTANTIATE_TEST_SUITE_P(All, DatasetStats,
                          ::testing::ValuesIn(graph::kAllDatasets),
-                         [](const auto& info) {
+                         [](const auto& param_info) {
                            return std::string(
-                               graph::dataset_name(info.param));
+                               graph::dataset_name(param_info.param));
                          });
 
 // ------------------------------------------------- PE utilization reporting
