@@ -2,7 +2,7 @@
 # Tier-1 verification plus a sanitizer pass.
 #
 # 1. Clean-ish release build with warnings as errors + full test suite (the
-#    tier-1 gate), then the perf harness's own tests.
+#    tier-1 gate), then the perf harness's own tests and the golden digests.
 # 2. AddressSanitizer + UBSan build (-DAURORA_SANITIZE=ON) running the test
 #    suite and a small parallel comparison grid (--jobs > 1) to shake out
 #    data races over the thread-pooled bench cells and any lifetime bugs in
@@ -23,6 +23,13 @@ echo "== perf harness tests =="
 # Tiny workloads through perfbench/run.py: units, same-seed digest identity,
 # other-seed digest change, tampered-report detection and traced metrics.
 python3 perfbench/test_perfbench.py
+
+echo "== golden digests: simulated results pinned =="
+# Tiny runs of every workload at seeds 1 and 7 must reproduce the committed
+# digest, sim_cycles and fail_frac (tests/data/perfbench_digests.json); under
+# another compiler a mismatch is reported without failing. A change that
+# means to move the model regenerates the file with --write and says why.
+python3 scripts/check_digests.py
 
 echo "== observability smoke: trace + metrics export =="
 # A small cycle-mode run with every observability flag on. Both outputs must

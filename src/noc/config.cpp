@@ -25,14 +25,26 @@ void check_segment(const BypassSegment& s, std::uint32_t k,
 
 }  // namespace
 
+NocConfig::NodeOverlay& NocConfig::overlay_at(NodeId node) {
+  if (overlay_.empty()) overlay_.resize(std::size_t{k_} * k_);
+  return overlay_[node];
+}
+
 void NocConfig::add_row_segment(BypassSegment segment) {
   check_segment(segment, k_, row_segments_);
+  // Segments on one wire share no endpoint, so each entry is set once.
+  const auto index = static_cast<std::uint32_t>(row_segments_.size());
+  overlay_at(to_node({segment.line, segment.from}, k_)).row_segment = index;
+  overlay_at(to_node({segment.line, segment.to}, k_)).row_segment = index;
   row_segments_.push_back(segment);
   refresh_ring_routability();  // a new segment can make a ring routable
 }
 
 void NocConfig::add_col_segment(BypassSegment segment) {
   check_segment(segment, k_, col_segments_);
+  const auto index = static_cast<std::uint32_t>(col_segments_.size());
+  overlay_at(to_node({segment.from, segment.line}, k_)).col_segment = index;
+  overlay_at(to_node({segment.to, segment.line}, k_)).col_segment = index;
   col_segments_.push_back(segment);
   refresh_ring_routability();
 }
@@ -44,17 +56,15 @@ bool NocConfig::physically_linked(NodeId a, NodeId b) const {
     const auto lo = std::min(ca.col, cb.col);
     const auto hi = std::max(ca.col, cb.col);
     if (hi - lo == 1) return true;
-    for (const auto& s : row_segments_) {
-      if (s.line == ca.row && s.from == lo && s.to == hi) return true;
-    }
+    const auto s = row_segment_at(ca.row, lo);
+    if (s.has_value() && s->from == lo && s->to == hi) return true;
   }
   if (ca.col == cb.col) {
     const auto lo = std::min(ca.row, cb.row);
     const auto hi = std::max(ca.row, cb.row);
     if (hi - lo == 1) return true;
-    for (const auto& s : col_segments_) {
-      if (s.line == ca.col && s.from == lo && s.to == hi) return true;
-    }
+    const auto s = col_segment_at(ca.col, lo);
+    if (s.has_value() && s->from == lo && s->to == hi) return true;
   }
   return false;
 }
@@ -80,15 +90,27 @@ void NocConfig::add_ring(RingConfig ring) {
                      "ring nodes " << a << " and " << b
                                    << " are not physically linked");
   }
-  rings_.push_back(std::move(ring));
-  ring_routable_.push_back(
-      compute_ring_routable(rings_.size() - 1) ? 1 : 0);
+  add_ring_unchecked(std::move(ring));
 }
 
 void NocConfig::add_ring_unchecked(RingConfig ring) {
   rings_.push_back(std::move(ring));
+  index_ring(rings_.size() - 1);
   ring_routable_.push_back(
       compute_ring_routable(rings_.size() - 1) ? 1 : 0);
+}
+
+void NocConfig::index_ring(std::size_t i) {
+  // Earlier rings, and earlier positions within this ring, keep the nodes
+  // they list: membership resolves by first occurrence.
+  const auto& nodes = rings_[i].nodes;
+  for (std::size_t j = 0; j < nodes.size(); ++j) {
+    if (nodes[j] >= std::size_t{k_} * k_) continue;
+    NodeOverlay& entry = overlay_at(nodes[j]);
+    if (entry.ring != kNone) continue;
+    entry.ring = static_cast<std::uint32_t>(i);
+    entry.successor = nodes[(j + 1) % nodes.size()];
+  }
 }
 
 bool NocConfig::compute_ring_routable(std::size_t i) const {
@@ -113,8 +135,11 @@ bool NocConfig::compute_ring_routable(std::size_t i) const {
 }
 
 void NocConfig::refresh_ring_routability() {
+  // A segment only adds links, so only an unroutable ring can change.
   for (std::size_t i = 0; i < rings_.size(); ++i) {
-    ring_routable_[i] = compute_ring_routable(i) ? 1 : 0;
+    if (ring_routable_[i] == 0) {
+      ring_routable_[i] = compute_ring_routable(i) ? 1 : 0;
+    }
   }
 }
 
@@ -125,35 +150,49 @@ bool NocConfig::all_rings_routable() const {
 
 std::optional<BypassSegment> NocConfig::row_segment_at(
     std::uint32_t row, std::uint32_t col) const {
-  for (const auto& s : row_segments_) {
-    if (s.line == row && (s.from == col || s.to == col)) return s;
-  }
-  return std::nullopt;
+  if (row >= k_ || col >= k_ || overlay_.empty()) return std::nullopt;
+  const std::uint32_t index = overlay_[to_node({row, col}, k_)].row_segment;
+  if (index == kNone) return std::nullopt;
+  return row_segments_[index];
 }
 
 std::optional<BypassSegment> NocConfig::col_segment_at(
     std::uint32_t col, std::uint32_t row) const {
-  for (const auto& s : col_segments_) {
-    if (s.line == col && (s.from == row || s.to == row)) return s;
+  if (row >= k_ || col >= k_ || overlay_.empty()) return std::nullopt;
+  const std::uint32_t index = overlay_[to_node({row, col}, k_)].col_segment;
+  if (index == kNone) return std::nullopt;
+  return col_segments_[index];
+}
+
+std::optional<NocConfig::Membership> NocConfig::membership(
+    NodeId node) const {
+  if (node < overlay_.size()) {
+    const NodeOverlay& entry = overlay_[node];
+    if (entry.ring == kNone) return std::nullopt;
+    return Membership{entry.ring, entry.successor};
+  }
+  // Outside the table: a node beyond the mesh, listed only by
+  // add_ring_unchecked, or any node while no overlay exists.
+  for (std::size_t i = 0; i < rings_.size(); ++i) {
+    const auto& nodes = rings_[i].nodes;
+    const auto it = std::find(nodes.begin(), nodes.end(), node);
+    if (it == nodes.end()) continue;
+    const auto idx = static_cast<std::size_t>(it - nodes.begin());
+    return Membership{i, nodes[(idx + 1) % nodes.size()]};
   }
   return std::nullopt;
 }
 
 std::optional<std::size_t> NocConfig::ring_of(NodeId node) const {
-  for (std::size_t i = 0; i < rings_.size(); ++i) {
-    const auto& nodes = rings_[i].nodes;
-    if (std::find(nodes.begin(), nodes.end(), node) != nodes.end()) return i;
-  }
-  return std::nullopt;
+  const auto found = membership(node);
+  if (!found.has_value()) return std::nullopt;
+  return found->ring;
 }
 
 NodeId NocConfig::ring_successor(NodeId node) const {
-  const auto ring = ring_of(node);
-  AURORA_CHECK_MSG(ring.has_value(), "node " << node << " not in any ring");
-  const auto& nodes = rings_[*ring].nodes;
-  const auto it = std::find(nodes.begin(), nodes.end(), node);
-  const auto idx = static_cast<std::size_t>(it - nodes.begin());
-  return nodes[(idx + 1) % nodes.size()];
+  const auto found = membership(node);
+  AURORA_CHECK_MSG(found.has_value(), "node " << node << " not in any ring");
+  return found->successor;
 }
 
 std::uint64_t NocConfig::total_switch_states() const {

@@ -83,16 +83,18 @@ class NocConfig {
   }
   [[nodiscard]] const std::vector<RingConfig>& rings() const { return rings_; }
 
-  /// Segment on `row`'s wire with one endpoint at `col`, if any.
+  /// Segment on `row`'s wire with one endpoint at `col`, if any. O(1).
   [[nodiscard]] std::optional<BypassSegment> row_segment_at(
       std::uint32_t row, std::uint32_t col) const;
-  /// Segment on `col`'s wire with one endpoint at `row`, if any.
+  /// Segment on `col`'s wire with one endpoint at `row`, if any. O(1).
   [[nodiscard]] std::optional<BypassSegment> col_segment_at(
       std::uint32_t col, std::uint32_t row) const;
 
-  /// Ring membership: index into rings() or nullopt.
+  /// Ring membership: index of the first ring listing `node`, or nullopt.
+  /// O(1) for mesh nodes.
   [[nodiscard]] std::optional<std::size_t> ring_of(NodeId node) const;
-  /// Successor of `node` in its ring (node must be a ring member).
+  /// Successor of `node`'s first occurrence in its ring (node must be a
+  /// ring member). O(1) for mesh nodes.
   [[nodiscard]] NodeId ring_successor(NodeId node) const;
 
   /// True when ring `i` can actually carry circulating traffic: every node
@@ -115,6 +117,23 @@ class NocConfig {
   [[nodiscard]] std::uint64_t total_switch_states() const;
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  /// What the overlays attach to one mesh node.
+  struct NodeOverlay {
+    std::uint32_t ring = kNone;  // first ring listing the node
+    NodeId successor = 0;        // after its first occurrence there
+    std::uint32_t row_segment = kNone;  // row_segments_ index
+    std::uint32_t col_segment = kNone;  // col_segments_ index
+  };
+  struct Membership {
+    std::size_t ring = 0;
+    NodeId successor = 0;
+  };
+
+  [[nodiscard]] std::optional<Membership> membership(NodeId node) const;
+  /// The overlay entry of mesh node `node`, creating the table on first use.
+  NodeOverlay& overlay_at(NodeId node);
+  void index_ring(std::size_t i);
   [[nodiscard]] bool physically_linked(NodeId a, NodeId b) const;
   [[nodiscard]] bool compute_ring_routable(std::size_t i) const;
   void refresh_ring_routability();
@@ -124,6 +143,10 @@ class NocConfig {
   std::vector<BypassSegment> row_segments_;
   std::vector<BypassSegment> col_segments_;
   std::vector<RingConfig> rings_;
+  /// Per mesh node, filled as rings and segments are added, so routing
+  /// lookups are O(1). Empty until the first overlay is added; ring
+  /// members outside the mesh (add_ring_unchecked) are found by a scan.
+  std::vector<NodeOverlay> overlay_;
   /// Cached routability per ring (parallel to rings_), refreshed whenever a
   /// ring or segment is added, so the per-flit routing check is O(1).
   std::vector<std::uint8_t> ring_routable_;

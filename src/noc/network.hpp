@@ -2,8 +2,9 @@
 // wormhole switching, credit-based flow control and the bypass/ring overlays.
 //
 // Router microarchitecture (paper Fig 4) is modelled as:
-//   * one input FIFO per port with credit-based backpressure;
-//   * per-output round-robin switch allocation, one flit per output/cycle;
+//   * one input FIFO per (port, VC) lane with credit-based backpressure;
+//   * per-output round-robin switch allocation over the lanes, one flit per
+//     output and per input port each cycle;
 //   * wormhole locking: a granted input->output pairing persists until the
 //     packet's tail flit passes;
 //   * a two-stage (horizontal/vertical) crossbar: flits that turn between
@@ -15,10 +16,8 @@
 #pragma once
 
 #include <array>
-#include <deque>
-#include <optional>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -107,7 +106,8 @@ class Network final : public sim::Component {
   /// flits in flight (otherwise the network would have been drained).
   void skip_cycles(Cycle from, Cycle to) override;
 
-  /// Conservation checks: flit/packet balances, occupancy caches, byte/hop
+  /// Conservation checks: flit/packet balances, occupancy caches, lane and
+  /// occupied-router masks, cached head routes, byte/hop
   /// consistency; after drain additionally empty FIFOs, released wormhole
   /// locks and fully restored credits (see docs/architecture.md,
   /// "Invariants").
@@ -134,47 +134,83 @@ class Network final : public sim::Component {
   void register_metrics(MetricsRegistry& registry) override;
 
  private:
-  struct TimedFlit {
-    Flit flit;
-    Cycle ready_at = 0;
+  static constexpr std::uint8_t kUnlocked = 0xff;
+
+  /// A flit in an input lane. Every flit counts the hops it has taken (a
+  /// packet's flits follow one path, so the tail's count is the packet's);
+  /// a head also carries the output it requests at this router, computed
+  /// once, when it entered the lane.
+  struct BufferedFlit {
+    Cycle ready_at;
+    std::uint32_t slot;  // the packet's index into packets_
+    NodeId dst;
+    std::uint32_t hops;
+    Port route;
+    bool is_head;
+    bool is_tail;
   };
-  struct InputBuffer {
-    std::deque<TimedFlit> fifo;
-    /// Output port this buffer's current packet is locked to (wormhole),
-    /// or empty when the next head flit still needs switch allocation.
-    std::optional<Port> locked_output;
+  /// One (port, VC) input FIFO, a ring over `slots`. Credits bound mesh and
+  /// bypass lanes to `input_buffer_flits`, so their rings are fixed slices
+  /// of buffer_slots_; the local injection lane is unbounded and grows.
+  struct Lane {
+    BufferedFlit* slots = nullptr;
+    std::uint32_t capacity = 0;
+    std::uint32_t head = 0;
+    std::uint32_t size = 0;
+    /// Output port this lane's packet is locked to (wormhole), or
+    /// kUnlocked when the next head flit still needs switch allocation.
+    std::uint8_t locked_output = kUnlocked;
   };
+  /// A router's allocation state. Its lanes are numbered
+  /// `port * num_vcs + vc`; lanes_ holds them from `node * lanes_per_router_`.
   struct Router {
-    /// One buffer per (physical port, virtual channel).
-    std::array<std::array<InputBuffer, kMaxVcs>, kNumPorts> in;
+    /// Bit `lane` is set while that lane holds a flit.
+    std::uint32_t busy_lanes = 0;
+    /// Round-robin pointers over lanes, one per output port.
+    std::array<std::uint8_t, kNumPorts> rr{};
     /// Credits toward each downstream (port, vc) buffer.
     std::array<std::array<std::uint32_t, kMaxVcs>, kNumPorts> credits{};
-    /// Round-robin pointers over (port, vc) pairs, one per output port.
-    std::array<std::uint8_t, kNumPorts> rr{};
-    /// One flit per physical input port per cycle through the crossbar.
-    std::array<std::optional<Cycle>, kNumPorts> last_port_pop;
   };
   struct PacketRecord {
     Packet packet;
-    std::uint32_t hops = 0;
     std::uint32_t flits_ejected = 0;
   };
 
-  void route_one_output(Router& router, NodeId node, Port out, Cycle now);
-  void return_credit(NodeId node, Port in_port, std::uint8_t vc);
+  void allocate_switch(NodeId node, Cycle now);
+  void move_flit(NodeId node, std::uint32_t lane, Port out, Cycle now);
+  void push_flit(NodeId node, std::uint32_t lane, const BufferedFlit& flit);
+  void grow_injection_lane(NodeId node, std::uint32_t lane);
+  [[nodiscard]] BufferedFlit pop_flit(NodeId node, std::uint32_t lane);
+  /// First occupied router at or after `from`, or num_nodes().
+  [[nodiscard]] NodeId next_occupied(NodeId from) const;
+  [[nodiscard]] std::uint64_t live_packets() const {
+    return packets_.size() - free_slots_.size();
+  }
+  void return_credit(NodeId node, Port in_port, std::uint32_t vc);
   [[nodiscard]] bool is_horizontal(Port p) const {
     return p == Port::kEast || p == Port::kWest || p == Port::kBypassRow;
   }
-  void eject_flit(NodeId node, const Flit& flit, Cycle now);
+  void eject_flit(NodeId node, const BufferedFlit& flit, Cycle now);
 
   NocParams params_;
   NocConfig config_;
+  std::uint32_t lanes_per_router_ = 0;  // kNumPorts * num_vcs
   std::vector<Router> routers_;
-  /// Buffered-flit count per router — lets tick() skip empty routers.
+  std::vector<Lane> lanes_;
+  /// Ring storage of every mesh and bypass lane, `input_buffer_flits` each;
+  /// left uninitialised, so pages no flit reaches are never touched.
+  std::unique_ptr<BufferedFlit[]> buffer_slots_;
+  /// Ring storage of each router's local injection lanes (grown on demand).
+  std::vector<std::vector<BufferedFlit>> injection_slots_;
+  /// Buffered-flit count per router, and a bit per occupied router, so
+  /// tick() visits only routers holding flits.
   std::vector<std::uint32_t> router_occupancy_;
+  std::vector<std::uint64_t> occupied_routers_;
   /// Flits forwarded per router (lifetime).
   std::vector<std::uint64_t> router_load_;
-  std::unordered_map<std::uint64_t, PacketRecord> live_packets_;
+  /// In-flight packets by slot; a delivered packet's slot is reused.
+  std::vector<PacketRecord> packets_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<Packet> delivered_;
   DeliveryCallback on_delivery_;
   std::uint64_t next_packet_id_ = 1;

@@ -1,4 +1,4 @@
-// Basic NoC data types: node coordinates, packets and flits.
+// Basic NoC data types: node coordinates, ports and packets.
 #pragma once
 
 #include <cstdint>
@@ -51,16 +51,6 @@ struct Packet {
   Cycle injected_at = 0;
   /// Opaque tag the client uses to identify the message at delivery.
   std::uint64_t tag = 0;
-};
-
-/// Wormhole flit. Flits of one packet follow the head's path and stay in
-/// the virtual channel assigned at injection.
-struct Flit {
-  std::uint64_t packet_id = 0;
-  std::uint32_t seq = 0;
-  std::uint8_t vc = 0;
-  bool is_head = false;
-  bool is_tail = false;
 };
 
 /// Delivery notification: packet plus arrival cycle.

@@ -434,7 +434,7 @@ TEST(Check, ThrowsWithMessage) {
   }
 }
 
-TEST(ParallelFor, MatchesSerialResultAndReleasesBudget) {
+TEST(ParallelFor, MatchesSerialResult) {
   std::vector<int> out(64, 0);
   parallel_for(out.size(), 4,
                [&](std::size_t i) { out[i] = static_cast<int>(i * i); });

@@ -2,7 +2,11 @@
 // flit-level delivery, bypass links, rings and flow control.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -103,6 +107,22 @@ TEST(NocConfig, RingWrapWithoutSegmentIsUnroutableAndFallsBackToMesh) {
   EXPECT_EQ(path_hops(3, 0, c), 3u);
 }
 
+TEST(NocConfig, LaterWrapSegmentMakesRingRoutable) {
+  // Routability is cached per ring; a segment added after the ring can
+  // supply its missing wrap link, while a ring that shadows an earlier
+  // one's node stays unroutable whatever links appear.
+  NocConfig c(4);
+  RingConfig row0;
+  for (NodeId i = 0; i < 4; ++i) row0.nodes.push_back(i);
+  c.add_ring_unchecked(row0);
+  c.add_ring_unchecked({{3, 7}});  // 3 already belongs to the first ring
+  EXPECT_FALSE(c.ring_routable(0));
+  c.add_row_segment({0, 0, 3});
+  EXPECT_TRUE(c.ring_routable(0));
+  EXPECT_FALSE(c.ring_routable(1));
+  EXPECT_EQ(route_output(3, 0, c), Port::kBypassRow);
+}
+
 TEST(NocConfig, RoutableRingReportsRoutable) {
   NocConfig c(4);
   c.add_ring({{0, 1, 5, 4}});
@@ -119,6 +139,122 @@ TEST(Network, ConfigureRejectsUnroutableRing) {
   for (NodeId i = 0; i < 4; ++i) ring.nodes.push_back(i);
   c.add_ring_unchecked(ring);
   EXPECT_THROW(net.configure(c), Error);
+}
+
+// The per-node ring and segment tables must answer exactly as the linear
+// scans they replaced, kept here as the reference: first occurrence across
+// and within rings, and answers for out-of-range nodes, lines and endpoints.
+std::optional<std::size_t> scan_ring_of(const NocConfig& c, NodeId node) {
+  for (std::size_t i = 0; i < c.rings().size(); ++i) {
+    const auto& nodes = c.rings()[i].nodes;
+    if (std::find(nodes.begin(), nodes.end(), node) != nodes.end()) return i;
+  }
+  return std::nullopt;
+}
+
+std::optional<NodeId> scan_ring_successor(const NocConfig& c, NodeId node) {
+  const auto ring = scan_ring_of(c, node);
+  if (!ring.has_value()) return std::nullopt;
+  const auto& nodes = c.rings()[*ring].nodes;
+  const auto idx = static_cast<std::size_t>(
+      std::find(nodes.begin(), nodes.end(), node) - nodes.begin());
+  return nodes[(idx + 1) % nodes.size()];
+}
+
+std::optional<BypassSegment> scan_segment_at(
+    const std::vector<BypassSegment>& segments, std::uint32_t line,
+    std::uint32_t endpoint) {
+  for (const auto& s : segments) {
+    if (s.line == line && (s.from == endpoint || s.to == endpoint)) return s;
+  }
+  return std::nullopt;
+}
+
+void expect_tables_match_scans(const NocConfig& c) {
+  std::vector<NodeId> probes;
+  for (NodeId n = 0; n < c.k() * c.k() + 4; ++n) probes.push_back(n);
+  for (const auto& ring : c.rings()) {
+    probes.insert(probes.end(), ring.nodes.begin(), ring.nodes.end());
+  }
+  for (const NodeId node : probes) {
+    EXPECT_EQ(c.ring_of(node), scan_ring_of(c, node)) << "node " << node;
+    const auto succ = scan_ring_successor(c, node);
+    if (succ.has_value()) {
+      EXPECT_EQ(c.ring_successor(node), *succ) << "node " << node;
+    } else {
+      EXPECT_THROW((void)c.ring_successor(node), Error) << "node " << node;
+    }
+  }
+  for (std::uint32_t line = 0; line < c.k() + 2; ++line) {
+    for (std::uint32_t end = 0; end < c.k() + 2; ++end) {
+      EXPECT_TRUE(c.row_segment_at(line, end) ==
+                  scan_segment_at(c.row_segments(), line, end))
+          << "row " << line << " col " << end;
+      EXPECT_TRUE(c.col_segment_at(line, end) ==
+                  scan_segment_at(c.col_segments(), line, end))
+          << "col " << line << " row " << end;
+    }
+  }
+}
+
+TEST(NocConfig, TablesMatchLinearScansOnRandomConfigs) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const auto k = static_cast<std::uint32_t>(3 + rng.next_below(7));
+    NocConfig c(k);
+    for (int step = 0; step < 12; ++step) {
+      const std::uint32_t line = static_cast<std::uint32_t>(rng.next_below(k));
+      const std::uint32_t a = static_cast<std::uint32_t>(rng.next_below(k));
+      const std::uint32_t b = static_cast<std::uint32_t>(rng.next_below(k));
+      const NodeId r = static_cast<NodeId>(rng.next_below(k - 1));
+      const NodeId col = static_cast<NodeId>(rng.next_below(k - 1));
+      // Overlapping segments and rings over taken nodes are rejected;
+      // the tables must be unchanged by a rejected addition.
+      try {
+        switch (rng.next_below(3)) {
+          case 0:
+            c.add_row_segment({line, std::min(a, b), std::max(a, b)});
+            break;
+          case 1:
+            c.add_col_segment({line, std::min(a, b), std::max(a, b)});
+            break;
+          default:
+            c.add_ring({{r * k + col, r * k + col + 1, (r + 1) * k + col + 1,
+                         (r + 1) * k + col}});
+            break;
+        }
+      } catch (const Error&) {
+      }
+      expect_tables_match_scans(c);
+    }
+  }
+}
+
+TEST(NocConfig, TablesMatchLinearScansOnUncheckedRings) {
+  NocConfig c(4);
+  c.add_ring({{0, 1, 5, 4}});
+  c.add_ring_unchecked({{5, 6, 10, 9}});    // 5 shadowed by the first ring
+  c.add_ring_unchecked({{9, 13, 9, 14}});   // 9 shadowed, then repeated
+  c.add_ring_unchecked({{2, 100, 3, 100}});  // out-of-range member, twice
+  c.add_ring_unchecked({{100, 7}});          // out-of-range, shadowed
+  c.add_ring_unchecked({{12}});
+  c.add_ring_unchecked({});
+  c.add_row_segment({3, 0, 3});
+  c.add_col_segment({3, 0, 2});
+  expect_tables_match_scans(c);
+  EXPECT_EQ(c.ring_of(5), std::optional<std::size_t>(0));
+  EXPECT_EQ(c.ring_successor(9), 5u);
+  EXPECT_EQ(c.ring_successor(100), 3u);
+  EXPECT_EQ(c.ring_successor(12), 12u);
+
+  // A configuration without a mesh size holds only out-of-range nodes.
+  NocConfig unsized;
+  unsized.add_ring_unchecked({{3, 1, 3}});
+  unsized.add_ring_unchecked({{1, 2}});
+  expect_tables_match_scans(unsized);
+  EXPECT_EQ(unsized.ring_of(1), std::optional<std::size_t>(0));
+  EXPECT_EQ(unsized.ring_successor(3), 1u);
 }
 
 TEST(NocConfig, SwitchWriteDelta) {
@@ -454,6 +590,114 @@ TEST(Network, VcsDeterministic) {
     return h.net.stats().packet_latency.mean();
   };
   EXPECT_DOUBLE_EQ(run_once(), run_once());
+}
+
+// Arbitration pin: seeded mixed traffic (uniform, long bypass trips and
+// traffic within two rings, one of which wraps over a row bypass segment),
+// injected over 400 cycles so packets contend for outputs, credits and
+// wormhole locks. The checksum folds every delivered packet's (id, arrival
+// cycle, hops) in delivery order; the pinned values come from the original
+// lane-by-lane switch allocator, so any change to arbitration order,
+// credits, locks or delays moves them.
+std::uint64_t arbitration_checksum(RoutingPolicy policy,
+                                   std::uint32_t num_vcs) {
+  NocParams p;
+  p.k = 8;
+  p.num_vcs = num_vcs;
+  NetHarness h(p);
+  NocConfig cfg(8);
+  cfg.set_routing(policy);
+  cfg.add_row_segment({1, 0, 5});
+  cfg.add_row_segment({5, 2, 7});
+  cfg.add_row_segment({7, 0, 3});  // the row-7 ring's wrap link
+  cfg.add_col_segment({2, 0, 6});
+  cfg.add_col_segment({6, 3, 7});
+  const std::vector<NodeId> block = {27, 28, 36, 35};
+  const std::vector<NodeId> row7 = {56, 57, 58, 59};
+  cfg.add_ring({block});
+  cfg.add_ring({row7});
+  h.net.configure(cfg);
+
+  std::uint64_t checksum = 0xcbf29ce484222325ull;  // FNV-1a, 64 bit
+  auto fold = [&checksum](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      checksum ^= (v >> (8 * i)) & 0xffu;
+      checksum *= 0x100000001b3ull;
+    }
+  };
+  double hop_sum = 0;
+  std::uint64_t delivered = 0;
+  h.net.set_delivery_callback([&](const Packet& pkt, Cycle at) {
+    const std::uint32_t hops = path_hops(pkt.src, pkt.dst, cfg);
+    fold(pkt.id);
+    fold(at);
+    fold(hops);
+    hop_sum += hops;
+    ++delivered;
+  });
+
+  Rng rng(2024);
+  std::uint64_t sent = 0;
+  for (Cycle cycle = 0; cycle < 400; ++cycle) {
+    const std::uint64_t sends = rng.next_below(4);
+    for (std::uint64_t i = 0; i < sends; ++i) {
+      NodeId src = static_cast<NodeId>(rng.next_below(64));
+      NodeId dst = 0;
+      const std::uint64_t kind = rng.next_below(4);
+      if (kind == 0) {
+        // One ring hop to the successor (the vertex-update rotation). Longer
+        // ring trips, or mesh traffic into a ring member, can close a cycle
+        // of channel dependencies and deadlock under this load.
+        const auto& ring = rng.next_bool(0.5) ? block : row7;
+        const std::size_t at = rng.next_below(ring.size());
+        src = ring[at];
+        dst = ring[(at + 1) % ring.size()];
+      } else {
+        const auto in_ring = [&](NodeId n) {
+          return std::find(block.begin(), block.end(), n) != block.end() ||
+                 std::find(row7.begin(), row7.end(), n) != row7.end();
+        };
+        do {
+          // kind 1 crosses a row, over its bypass segment where one helps.
+          dst = kind == 1
+                    ? (src / 8) * 8 + static_cast<NodeId>(rng.next_below(8))
+                    : static_cast<NodeId>(rng.next_below(64));
+        } while (in_ring(dst));
+      }
+      const Bytes bytes = 32 * (1 + rng.next_below(12));
+      h.net.send(src, dst, bytes, sent++, h.s.now());
+    }
+    h.s.step();
+  }
+  h.run(1'000'000);
+  EXPECT_EQ(delivered, sent);
+  EXPECT_DOUBLE_EQ(h.net.stats().packet_hops.sum(), hop_sum);
+  fold(h.net.stats().flit_hops);
+  fold(h.net.stats().bypass_flit_hops);
+  fold(h.net.stats().busy_cycles);
+  return checksum;
+}
+
+TEST(Network, ArbitrationPinnedUnderMixedTraffic) {
+  struct Pin {
+    RoutingPolicy policy;
+    std::uint32_t num_vcs;
+    std::uint64_t checksum;
+  };
+  const Pin pins[] = {
+      {RoutingPolicy::kXYFirst, 1, 0x6aa81f357f92fe57ull},
+      {RoutingPolicy::kXYFirst, 2, 0x6cc788f046b3fe5aull},
+      {RoutingPolicy::kXYFirst, 4, 0x9e09b685138a99c1ull},
+      {RoutingPolicy::kYXFirst, 1, 0x944ab176957976d0ull},
+      {RoutingPolicy::kYXFirst, 2, 0xb6c53ccc30f5bcebull},
+      {RoutingPolicy::kYXFirst, 4, 0x71214a340c1629a1ull},
+  };
+  for (const Pin& pin : pins) {
+    const std::uint64_t got = arbitration_checksum(pin.policy, pin.num_vcs);
+    EXPECT_EQ(got, pin.checksum)
+        << (pin.policy == RoutingPolicy::kXYFirst ? "XY" : "YX") << " vcs "
+        << pin.num_vcs << ": 0x" << std::hex << got;
+  }
 }
 
 
