@@ -35,6 +35,8 @@ echo "== observability smoke: trace + metrics export =="
 # A small cycle-mode run with every observability flag on. Both outputs must
 # be valid JSON; the metrics report must carry the per-phase and latency
 # schema, and the trace must contain phase spans and counter tracks.
+# "noc.packets_in_flight" is also a track derived from trace events, so the
+# sampler's own series are checked by two names only it records.
 obs_dir="$(mktemp -d)"
 trap 'rm -rf "$obs_dir"' EXIT
 
@@ -62,7 +64,8 @@ EOF
   --metrics-out="$obs_dir/metrics.json" --sample-interval=32
 python3 -m json.tool "$obs_dir/trace.json" > /dev/null
 python3 -m json.tool "$obs_dir/metrics.json" > /dev/null
-for key in '"traceEvents"' '"ph": "X"' '"ph": "C"' '"noc.packets_in_flight"'; do
+for key in '"traceEvents"' '"ph": "X"' '"ph": "C"' '"noc.packets_in_flight"' \
+           '"pe.tasks_total"' '"dram.bursts_pending"'; do
   grep -qF "$key" "$obs_dir/trace.json" \
     || { echo "trace schema drift: missing $key"; exit 1; }
 done

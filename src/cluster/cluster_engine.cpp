@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/metrics_registry.hpp"
 #include "common/parallel.hpp"
 #include "core/report.hpp"
 #include "gnn/workflow.hpp"
@@ -157,15 +156,6 @@ void ChipProxy::verify_invariants(sim::InvariantReport& report) const {
   }
 }
 
-void ChipProxy::register_metrics(MetricsRegistry& registry) {
-  const auto scope =
-      registry.scope("cluster.chip" + std::to_string(chip_));
-  scope.counter("halo_bytes_sent", &halo_bytes_sent_);
-  scope.counter("halo_bytes_received", &halo_bytes_received_);
-  scope.counter("halo_wait_cycles", &halo_wait_cycles_);
-  scope.gauge("layer", [this] { return static_cast<double>(layer_); });
-}
-
 Cycle ClusterRunMetrics::max_halo_wait_cycles() const {
   Cycle m = 0;
   for (const ChipRun& c : chips) m = std::max(m, c.halo_wait_cycles);
@@ -300,17 +290,7 @@ ClusterRunMetrics ClusterEngine::run(const graph::Dataset& dataset,
       }
     }
   }
-  run_timeline(std::move(chip_plans), bound);
-  out.link = link_->stats();
-
-  for (std::uint32_t c = 0; c < n; ++c) {
-    ChipRun& chip = out.chips[c];
-    chip.finish_cycle = proxies_[c]->finish_cycle();
-    chip.halo_wait_cycles = proxies_[c]->halo_wait_cycles();
-    chip.halo_bytes_sent = proxies_[c]->halo_bytes_sent();
-    chip.halo_bytes_received = proxies_[c]->halo_bytes_received();
-    out.total_cycles = std::max(out.total_cycles, chip.finish_cycle);
-  }
+  run_timeline(std::move(chip_plans), bound, out);
   if (tracer_ != nullptr) {
     tracer_->record(out.total_cycles, sim::TraceEvent::kRunEnd,
                     out.total_cycles, 0);
@@ -338,45 +318,49 @@ ClusterRunMetrics ClusterEngine::run(const graph::Dataset& dataset,
 }
 
 void ClusterEngine::run_timeline(
-    std::vector<std::vector<ChipLayerPlan>>&& chip_plans, Cycle bound) {
+    std::vector<std::vector<ChipLayerPlan>>&& chip_plans, Cycle bound,
+    ClusterRunMetrics& out) {
   const std::uint32_t n = params_.num_chips;
-  link_ = std::make_unique<InterChipLink>(n, params_.link);
-  link_->set_fault_plan(params_.fault_plan.get());
-  proxies_.clear();
+  InterChipLink link(n, params_.link);
+  link.set_fault_plan(params_.fault_plan.get());
+  std::vector<std::unique_ptr<ChipProxy>> proxies;
   for (std::uint32_t c = 0; c < n; ++c) {
-    proxies_.push_back(std::make_unique<ChipProxy>(
-        c, std::move(chip_plans[c]), link_.get(), tracer_));
+    proxies.push_back(std::make_unique<ChipProxy>(
+        c, std::move(chip_plans[c]), &link, tracer_));
   }
-  link_->set_delivery_callback([this](const LinkMessage& msg, Cycle now) {
+  link.set_delivery_callback([&](const LinkMessage& msg, Cycle now) {
     if (tracer_ != nullptr) {
       tracer_->record(now, sim::TraceEvent::kHaloDelivered,
                       sim::pack_u32_pair(msg.src, msg.dst), msg.bytes,
                       msg.layer);
     }
-    proxies_[msg.dst]->on_halo(msg, now);
+    proxies[msg.dst]->on_halo(msg, now);
   });
 
   sim::Simulator simulator;
   simulator.set_fast_forward(config_.fast_forward);
-  for (auto& proxy : proxies_) simulator.add(proxy.get());
-  simulator.add(link_.get());
+  for (auto& proxy : proxies) simulator.add(proxy.get());
+  simulator.add(&link);
 
   sim::InvariantChecker checker(config_.invariant_interval);
   if (config_.check_invariants) {
-    for (auto& proxy : proxies_) checker.watch(proxy.get());
-    checker.watch(link_.get());
+    for (auto& proxy : proxies) checker.watch(proxy.get());
+    checker.watch(&link);
     simulator.add(&checker);
   }
 
   simulator.run_until_idle(bound);
   if (config_.check_invariants) checker.check_now(simulator.now(), true);
-}
 
-void ClusterEngine::register_metrics(MetricsRegistry& registry) {
-  AURORA_CHECK_MSG(link_ != nullptr,
-                   "register_metrics needs a completed cluster run");
-  link_->register_metrics(registry);
-  for (auto& proxy : proxies_) proxy->register_metrics(registry);
+  out.link = link.stats();
+  for (std::uint32_t c = 0; c < n; ++c) {
+    ChipRun& chip = out.chips[c];
+    chip.finish_cycle = proxies[c]->finish_cycle();
+    chip.halo_wait_cycles = proxies[c]->halo_wait_cycles();
+    chip.halo_bytes_sent = proxies[c]->halo_bytes_sent();
+    chip.halo_bytes_received = proxies[c]->halo_bytes_received();
+    out.total_cycles = std::max(out.total_cycles, chip.finish_cycle);
+  }
 }
 
 namespace {

@@ -100,9 +100,6 @@ class ChipProxy final : public sim::Component {
   /// Per-layer arrivals never exceed expectations; after drain every layer's
   /// barrier was fully satisfied and the chip finished its plan.
   void verify_invariants(sim::InvariantReport& report) const override;
-  /// Halo byte counters and the barrier-wait counter under
-  /// "cluster.chip<i>.".
-  void register_metrics(MetricsRegistry& registry) override;
 
  private:
   enum class State : std::uint8_t { kPre, kWaitHalo, kPost, kDone };
@@ -172,23 +169,19 @@ class ClusterEngine {
   /// Per-chip engine tracer, forwarded to that chip's accelerator.
   void set_chip_tracer(std::uint32_t chip, sim::Tracer* tracer);
 
-  /// Publish the last run's link and per-chip probes. Entries point into
-  /// components owned by this engine and stay valid until the next run().
-  void register_metrics(MetricsRegistry& registry);
-
   [[nodiscard]] const ClusterParams& params() const { return params_; }
 
  private:
-  /// Phase C: replay every chip's plan on one shared-clock Simulator.
+  /// Phase C: replay every chip's plan on one shared-clock Simulator, then
+  /// record the link statistics, each chip's finish and halo fields and the
+  /// makespan into `out`. The link and proxies live only for the replay.
   void run_timeline(std::vector<std::vector<ChipLayerPlan>>&& chip_plans,
-                    Cycle bound);
+                    Cycle bound, ClusterRunMetrics& out);
 
   core::AuroraConfig config_;
   ClusterParams params_;
   sim::Tracer* tracer_ = nullptr;
   std::vector<sim::Tracer*> chip_tracers_;
-  std::unique_ptr<InterChipLink> link_;
-  std::vector<std::unique_ptr<ChipProxy>> proxies_;
 };
 
 /// Field-by-field comparison of two cluster runs: total cycles, shard

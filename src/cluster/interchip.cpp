@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/metrics_registry.hpp"
 #include "sim/invariants.hpp"
 
 namespace aurora::cluster {
@@ -206,25 +205,6 @@ void InterChipLink::verify_invariants(sim::InvariantReport& report) const {
     report.require(messages_in_flight() == 0,
                    "drained link holds no messages");
   }
-}
-
-void InterChipLink::register_metrics(MetricsRegistry& registry) {
-  const auto scope = registry.scope("cluster.link");
-  scope.counter("messages_sent", &stats_.messages_sent);
-  scope.counter("messages_delivered", &stats_.messages_delivered);
-  scope.counter("bytes_sent", &stats_.bytes_sent);
-  scope.counter("bytes_delivered", &stats_.bytes_delivered);
-  scope.counter("hops", &stats_.hops);
-  scope.counter("serialize_cycles", &stats_.serialize_cycles);
-  scope.counter("stall_cycles", &stats_.stall_cycles);
-  scope.counter("degraded_sends", &stats_.degraded_sends);
-  scope.counter("degraded_extra_cycles", &stats_.degraded_extra_cycles);
-  scope.gauge("messages_in_flight", [this] {
-    return static_cast<double>(messages_in_flight());
-  });
-  scope.gauge("bytes_in_flight",
-              [this] { return static_cast<double>(bytes_in_flight()); });
-  scope.histogram("latency", &stats_.latency);
 }
 
 }  // namespace aurora::cluster

@@ -131,9 +131,6 @@ class InterChipLink final : public sim::Component {
   /// Conservation: messages/bytes sent == delivered + in flight; histogram
   /// totals match deliveries; after drain, every queue and wire is empty.
   void verify_invariants(sim::InvariantReport& report) const override;
-  /// Counters, the in-flight gauge and the latency histogram under
-  /// "cluster.link.".
-  void register_metrics(MetricsRegistry& registry) override;
 
  private:
   struct Flying {

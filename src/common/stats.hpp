@@ -60,7 +60,7 @@ class Histogram {
   std::uint64_t total_ = 0;
 };
 
-/// Canonical latency/depth histogram layouts. Component stats and the
+/// Canonical latency histogram layouts. Component stats and the
 /// RunMetrics aggregates must agree on these (Histogram::merge rejects
 /// mismatched layouts), so they are named constants rather than per-site
 /// literals. The last bucket absorbs overflow, so tails beyond the range
@@ -69,8 +69,6 @@ inline constexpr double kNocLatencyBucketCycles = 4.0;
 inline constexpr std::size_t kNocLatencyBuckets = 256;  // covers 0..1024
 inline constexpr double kDramLatencyBucketCycles = 16.0;
 inline constexpr std::size_t kDramLatencyBuckets = 256;  // covers 0..4096
-inline constexpr double kPeQueueDepthBucket = 1.0;
-inline constexpr std::size_t kPeQueueDepthBuckets = 64;
 /// Inter-chip link message latency (cluster scale-out): serialization at a
 /// few bytes/cycle plus multi-hop flight, so buckets are coarser and the
 /// range wider than the on-chip NoC layout.
@@ -85,8 +83,9 @@ inline constexpr std::size_t kLinkLatencyBuckets = 256;  // covers 0..16384
 /// 0.
 [[nodiscard]] double percentile(std::vector<double> samples, double q);
 
-/// Named monotonic counters; every simulator component registers its event
-/// counts here so tests and benches read one consolidated view.
+/// Named monotonic counters; every simulator component exports its event
+/// counts here (its export_counters) so tests, benches and reports read one
+/// consolidated view.
 class CounterSet {
  public:
   void inc(const std::string& name, std::uint64_t by = 1);

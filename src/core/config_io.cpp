@@ -58,8 +58,6 @@ AuroraConfig config_from_ini(const IniFile& ini, AuroraConfig base) {
   c.pe.bank_buffer_bytes =
       1024ull * u32("pe", "bank_buffer_kib", c.pe.bank_buffer_bytes / 1024);
   c.pe.bank_count = u32("pe", "bank_count", c.pe.bank_count);
-  c.pe.reuse_fifo_entries =
-      u32("pe", "reuse_fifo_entries", c.pe.reuse_fifo_entries);
 
   c.noc.flit_bytes = u32("noc", "flit_bytes", c.noc.flit_bytes);
   c.noc.num_vcs = ini.get_uint("noc", "num_vcs", c.noc.num_vcs, 1,
@@ -107,7 +105,6 @@ std::string config_to_ini(const AuroraConfig& c) {
      << "pipeline_depth = " << c.pe.datapath.pipeline_depth << "\n"
      << "bank_buffer_kib = " << c.pe.bank_buffer_bytes / 1024 << "\n"
      << "bank_count = " << c.pe.bank_count << "\n"
-     << "reuse_fifo_entries = " << c.pe.reuse_fifo_entries << "\n"
      << "\n[noc]\n"
      << "flit_bytes = " << c.noc.flit_bytes << "\n"
      << "num_vcs = " << c.noc.num_vcs << "\n"

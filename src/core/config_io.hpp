@@ -6,7 +6,7 @@
 //           buffer_fill_fraction, flops_per_pe, mode (cycle|analytic),
 //           fast_forward (true|false), mapping (degree-aware|hashing)
 //   [pe]    multipliers, adders, bank_buffer_kib, bank_count,
-//           reuse_fifo_entries, pipeline_depth
+//           pipeline_depth
 //   [noc]   flit_bytes, num_vcs (1-4), input_buffer_flits, router_delay
 //   [dram]  channels, banks, row_bytes, burst_bytes, t_rcd, t_rp, t_cl,
 //           t_burst, t_refi, t_rfc

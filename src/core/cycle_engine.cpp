@@ -7,7 +7,6 @@
 #include <functional>
 
 #include "common/error.hpp"
-#include "common/metrics_registry.hpp"
 #include "core/sub_accelerators.hpp"
 #include "dram/dram.hpp"
 #include "noc/network.hpp"
@@ -111,10 +110,10 @@ RunMetrics CycleEngine::run_layer(const graph::Dataset& dataset,
   std::deque<pe::PeModel>& pes = impl_->pes;
   if (pes.size() != cfg.num_pes()) {
     pes.clear();
+    // Named so an invariant violation says which PE broke; a name this
+    // short fits the small-string buffer, so naming allocates nothing.
     for (std::uint32_t i = 0; i < cfg.num_pes(); ++i) {
-      pes.emplace_back(
-          tracer_ != nullptr ? "pe" + std::to_string(i) : std::string(),
-          cfg.pe);
+      pes.emplace_back("pe" + std::to_string(i), cfg.pe);
     }
   } else {
     for (auto& p : pes) p.reset();
@@ -123,38 +122,32 @@ RunMetrics CycleEngine::run_layer(const graph::Dataset& dataset,
   sim.add(&dram);
   for (auto& p : pes) sim.add(&p);
 
-  // ---- observability: per-run registry + optional sampler ----------------
-  // The registry and its probes reference this run's stack-local components,
-  // so the sampler's probes are detached again before returning.
-  MetricsRegistry registry;
-  net.register_metrics(registry);
-  dram.register_metrics(registry);
-  {
-    // Pooled PEs are unnamed (names cost allocations nothing else reads),
-    // so per-PE registration is unavailable; publish pool aggregates.
-    const auto pe_scope = registry.scope("pe");
-    pe_scope.counter("tasks_total", [&pes] {
-      double total = 0.0;
-      for (const auto& p : pes) {
-        total += static_cast<double>(p.stats().tasks_completed);
-      }
-      return total;
-    });
-    pe_scope.counter("busy_cycles_total", [&pes] {
+  // ---- observability: optional sampler -----------------------------------
+  // Series in name order: DRAM, NoC, then the PE-pool aggregates. The probes
+  // reference this run's stack-local components, so they are detached again
+  // before returning.
+  if (sampler_ != nullptr) {
+    dram.watch_series(*sampler_);
+    net.watch_series(*sampler_);
+    sampler_->watch("pe.busy_cycles_total", [&pes] {
       double total = 0.0;
       for (const auto& p : pes) {
         total += static_cast<double>(p.stats().busy_cycles);
       }
       return total;
     });
-    pe_scope.gauge("queue_depth_total", [&pes] {
+    sampler_->watch("pe.queue_depth_total", [&pes] {
       double total = 0.0;
       for (const auto& p : pes) total += static_cast<double>(p.queue_depth());
       return total;
     });
-  }
-  if (sampler_ != nullptr) {
-    sampler_->watch_registry(registry);
+    sampler_->watch("pe.tasks_total", [&pes] {
+      double total = 0.0;
+      for (const auto& p : pes) {
+        total += static_cast<double>(p.stats().tasks_completed);
+      }
+      return total;
+    });
     // Added last so every sample observes the post-tick state of the cycle
     // it lands on, identically under lockstep and fast-forward.
     sim.add(sampler_);

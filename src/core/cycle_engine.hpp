@@ -48,11 +48,12 @@ class CycleEngine {
   /// completions when the tracer is enabled.
   void set_tracer(sim::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Attach a time-series sampler (may be null). Each run registers its
-  /// components' metrics in a per-run registry, points the sampler's probes
-  /// at them, and detaches the probes again before returning (the components
-  /// are run-local). Sampling never changes simulated behaviour: the sampler
-  /// is a read-only component whose ticks are no-ops for everything else.
+  /// Attach a time-series sampler (may be null). Each run points the
+  /// sampler's probes at the NoC's and DRAM's counters and gauges and at
+  /// three PE-pool aggregates, and detaches them again before returning (the
+  /// components are run-local). Without a sampler none of this is built.
+  /// Sampling never changes simulated behaviour: the sampler is a read-only
+  /// component whose ticks are no-ops for everything else.
   void set_sampler(sim::Sampler* sampler) { sampler_ = sampler; }
 
  private:

@@ -3,8 +3,9 @@
 // Aurora's DRAM advantage (paper Sec VI-B) comes from three decisions this
 // model makes explicit:
 //   * weights live only in sub-accelerator B — never duplicated per PE;
-//   * sub-A output streams straight into sub-B reuse FIFOs — aggregated
-//     features are never spilled to DRAM between phases;
+//   * sub-A output streams over the NoC straight to sub-B's PEs (the
+//     paper's reuse FIFOs) — aggregated features are never spilled to DRAM
+//     between phases;
 //   * tiles sized to the distributed buffer bound halo re-reads.
 #pragma once
 

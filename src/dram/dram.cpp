@@ -4,8 +4,8 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "common/metrics_registry.hpp"
 #include "sim/invariants.hpp"
+#include "sim/sampler.hpp"
 
 namespace aurora::dram {
 
@@ -81,7 +81,6 @@ void DramModel::enqueue(DramRequest request, Cycle now) {
     Burst b;
     b.addr = (first + i) * config_.burst_bytes;
     b.is_write = is_write;
-    b.enqueued_at = now;
     b.parent = parent;
     channels_[channel_of(b.addr)].queue.push_back(b);
     ++pending_bursts_;
@@ -161,19 +160,15 @@ void DramModel::try_issue(Channel& ch, std::uint32_t index, Cycle now) {
   const Bytes row = row_of(burst.addr);
   const DramTiming& t = config_.timing;
   Cycle access_delay;
-  Histogram* burst_latency;
   if (bank.row_open && bank.open_row == row) {
     access_delay = t.t_cl;
     ++stats_.row_hits;
-    burst_latency = &stats_.burst_latency_hit;
   } else if (!bank.row_open) {
     access_delay = t.t_rcd + t.t_cl;
     ++stats_.row_misses;
-    burst_latency = &stats_.burst_latency_miss;
   } else {
     access_delay = t.t_rp + t.t_rcd + t.t_cl;
     ++stats_.row_conflicts;
-    burst_latency = &stats_.burst_latency_conflict;
   }
   if (!bank.row_open) ++ch.open_rows;
   bank.row_open = true;
@@ -197,7 +192,6 @@ void DramModel::try_issue(Channel& ch, std::uint32_t index, Cycle now) {
   bank.ready_at = now + (access_delay - t.t_cl) + t.t_burst;
   last_completion_ = std::max(last_completion_, completion);
 
-  burst_latency->add(static_cast<double>(completion - burst.enqueued_at));
   complete_burst(burst, completion);
 }
 
@@ -382,22 +376,17 @@ void DramModel::export_counters(CounterSet& out) const {
   out.inc("dram.bytes_written", stats_.bytes_written);
 }
 
-void DramModel::register_metrics(MetricsRegistry& registry) {
-  const auto s = registry.scope("dram");
-  s.counter("requests", &stats_.requests);
-  s.counter("bursts", &stats_.bursts);
-  s.counter("row_hits", &stats_.row_hits);
-  s.counter("row_misses", &stats_.row_misses);
-  s.counter("row_conflicts", &stats_.row_conflicts);
-  s.counter("refreshes", &stats_.refreshes);
-  s.counter("bytes_read", &stats_.bytes_read);
-  s.counter("bytes_written", &stats_.bytes_written);
-  s.gauge("bursts_pending",
-          [this] { return static_cast<double>(pending_bursts_); });
-  s.histogram("request_latency", &stats_.request_latency_hist);
-  s.histogram("burst_latency_hit", &stats_.burst_latency_hit);
-  s.histogram("burst_latency_miss", &stats_.burst_latency_miss);
-  s.histogram("burst_latency_conflict", &stats_.burst_latency_conflict);
+void DramModel::watch_series(sim::Sampler& sampler) const {
+  sampler.watch("dram.bursts", &stats_.bursts);
+  sampler.watch("dram.bursts_pending",
+                [this] { return static_cast<double>(pending_bursts_); });
+  sampler.watch("dram.bytes_read", &stats_.bytes_read);
+  sampler.watch("dram.bytes_written", &stats_.bytes_written);
+  sampler.watch("dram.refreshes", &stats_.refreshes);
+  sampler.watch("dram.requests", &stats_.requests);
+  sampler.watch("dram.row_conflicts", &stats_.row_conflicts);
+  sampler.watch("dram.row_hits", &stats_.row_hits);
+  sampler.watch("dram.row_misses", &stats_.row_misses);
 }
 
 }  // namespace aurora::dram

@@ -17,6 +17,10 @@
 #include "common/types.hpp"
 #include "sim/component.hpp"
 
+namespace aurora::sim {
+class Sampler;
+}
+
 namespace aurora::dram {
 
 /// DDR timing in accelerator cycles (defaults approximate DDR3-1600 timings
@@ -93,12 +97,6 @@ struct DramStats {
   /// Enqueue-to-completion latency distribution of whole requests
   /// (canonical layout, so it merges into RunMetrics::dram_request_latency).
   Histogram request_latency_hist{kDramLatencyBucketCycles, kDramLatencyBuckets};
-  /// Per-burst enqueue-to-data latency, split by how the row buffer
-  /// resolved the access — the row-policy cost picture, time-resolved.
-  Histogram burst_latency_hit{kDramLatencyBucketCycles, kDramLatencyBuckets};
-  Histogram burst_latency_miss{kDramLatencyBucketCycles, kDramLatencyBuckets};
-  Histogram burst_latency_conflict{kDramLatencyBucketCycles,
-                                   kDramLatencyBuckets};
 
   [[nodiscard]] Bytes total_bytes() const { return bytes_read + bytes_written; }
   [[nodiscard]] double row_hit_rate() const {
@@ -142,15 +140,15 @@ class DramModel final : public sim::Component {
   /// Merge this component's event counts into `out` (prefixed "dram.").
   void export_counters(CounterSet& out) const;
 
-  /// Publish counters, queue gauges and the latency histograms under
-  /// "dram." for samplers and other generic observers.
-  void register_metrics(MetricsRegistry& registry) override;
+  /// Watch the "dram." traffic counters and the pending-burst gauge on
+  /// `sampler`, in name order. The probes point into this model, so the
+  /// caller detaches them before the model is destroyed.
+  void watch_series(sim::Sampler& sampler) const;
 
  private:
   struct Burst {
     Bytes addr = 0;
     bool is_write = false;
-    Cycle enqueued_at = 0;
     std::uint32_t parent = 0;  // index into inflight_ requests
   };
   struct Inflight {

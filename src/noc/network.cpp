@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/metrics_registry.hpp"
 #include "sim/invariants.hpp"
+#include "sim/sampler.hpp"
 
 namespace aurora::noc {
 
@@ -42,7 +42,6 @@ Network::Network(const NocParams& params)
   // Sized for a typical injection wave up front so the per-packet
   // bookkeeping never reallocates on the per-cycle hot path.
   packets_.reserve(256);
-  delivered_.reserve(256);
 }
 
 std::uint64_t Network::configure(NocConfig config) {
@@ -222,17 +221,7 @@ void Network::eject_flit(NodeId node, const BufferedFlit& flit, Cycle now) {
   // Free the slot before the callback: a send from inside it may reuse it.
   const Packet packet = rec.packet;
   free_slots_.push_back(flit.slot);
-  if (on_delivery_) {
-    on_delivery_(packet, now);
-    return;
-  }
-  // Grow toward the number of packets still in flight in one step so a
-  // burst of deliveries costs at most one reallocation.
-  if (delivered_.size() == delivered_.capacity()) {
-    delivered_.reserve(std::max(delivered_.capacity() * 2,
-                                delivered_.size() + live_packets() + 2));
-  }
-  delivered_.push_back(packet);
+  if (on_delivery_) on_delivery_(packet, now);
 }
 
 void Network::allocate_switch(NodeId node, Cycle now) {
@@ -517,25 +506,19 @@ void Network::export_counters(CounterSet& out) const {
   out.inc("noc.busy_cycles", stats_.busy_cycles);
 }
 
-void Network::register_metrics(MetricsRegistry& registry) {
-  const auto s = registry.scope("noc");
-  s.counter("packets_injected", &stats_.packets_injected);
-  s.counter("packets_delivered", &stats_.packets_delivered);
-  s.counter("flits_injected", &stats_.flits_injected);
-  s.counter("flits_ejected", &stats_.flits_ejected);
-  s.counter("flit_hops", &stats_.flit_hops);
-  s.counter("bypass_flit_hops", &stats_.bypass_flit_hops);
-  s.counter("router_traversals", &stats_.router_traversals);
-  s.counter("busy_cycles", &stats_.busy_cycles);
-  s.gauge("flits_in_flight",
-          [this] { return static_cast<double>(flits_in_flight_); });
-  s.gauge("packets_in_flight",
-          [this] { return static_cast<double>(live_packets()); });
-  s.histogram("packet_latency", &stats_.packet_latency_hist);
-}
-
-std::vector<Packet> Network::drain_delivered() {
-  return std::exchange(delivered_, {});
+void Network::watch_series(sim::Sampler& sampler) const {
+  sampler.watch("noc.busy_cycles", &stats_.busy_cycles);
+  sampler.watch("noc.bypass_flit_hops", &stats_.bypass_flit_hops);
+  sampler.watch("noc.flit_hops", &stats_.flit_hops);
+  sampler.watch("noc.flits_ejected", &stats_.flits_ejected);
+  sampler.watch("noc.flits_in_flight",
+                [this] { return static_cast<double>(flits_in_flight_); });
+  sampler.watch("noc.flits_injected", &stats_.flits_injected);
+  sampler.watch("noc.packets_delivered", &stats_.packets_delivered);
+  sampler.watch("noc.packets_in_flight",
+                [this] { return static_cast<double>(live_packets()); });
+  sampler.watch("noc.packets_injected", &stats_.packets_injected);
+  sampler.watch("noc.router_traversals", &stats_.router_traversals);
 }
 
 const char* port_name(Port p) {

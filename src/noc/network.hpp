@@ -26,6 +26,10 @@
 #include "noc/types.hpp"
 #include "sim/component.hpp"
 
+namespace aurora::sim {
+class Sampler;
+}
+
 namespace aurora::noc {
 
 struct NocParams {
@@ -66,7 +70,8 @@ struct NocStats {
 };
 
 /// The network component. Clients inject packets with `send` and receive
-/// them through the delivery callback (or poll `drain_delivered`).
+/// them through the delivery callback; without one, a delivery is only
+/// counted.
 class Network final : public sim::Component {
  public:
   /// Virtual channels per port a router has buffers for (num_vcs <= this).
@@ -88,11 +93,6 @@ class Network final : public sim::Component {
   void set_delivery_callback(DeliveryCallback cb) {
     on_delivery_ = std::move(cb);
   }
-
-  /// Packets delivered since the last call. Only populated when no delivery
-  /// callback is installed — callback clients get each packet exactly once
-  /// through the callback and nothing accumulates on the hot path.
-  [[nodiscard]] std::vector<Packet> drain_delivered();
 
   void tick(Cycle now) override;
   [[nodiscard]] bool idle() const override;
@@ -129,9 +129,10 @@ class Network final : public sim::Component {
   /// Merge this component's event counts into `out` (prefixed "noc.").
   void export_counters(CounterSet& out) const;
 
-  /// Publish counters, occupancy gauges and the latency histogram under
-  /// "noc." for samplers and other generic observers.
-  void register_metrics(MetricsRegistry& registry) override;
+  /// Watch the "noc." counters and the flit and packet occupancy gauges on
+  /// `sampler`, in name order. The probes point into this network, so the
+  /// caller detaches them before the network is destroyed.
+  void watch_series(sim::Sampler& sampler) const;
 
  private:
   static constexpr std::uint8_t kUnlocked = 0xff;
@@ -211,7 +212,6 @@ class Network final : public sim::Component {
   /// In-flight packets by slot; a delivered packet's slot is reused.
   std::vector<PacketRecord> packets_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<Packet> delivered_;
   DeliveryCallback on_delivery_;
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t flits_in_flight_ = 0;

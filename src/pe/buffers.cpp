@@ -5,20 +5,9 @@
 namespace aurora::pe {
 
 BankBuffer::BankBuffer(Bytes capacity, std::uint32_t num_banks)
-    : capacity_(capacity), num_banks_(num_banks) {
+    : num_banks_(num_banks) {
   AURORA_CHECK(capacity > 0);
   AURORA_CHECK(num_banks > 0);
-}
-
-bool BankBuffer::allocate(Bytes bytes) {
-  if (used_ + bytes > capacity_) return false;
-  used_ += bytes;
-  return true;
-}
-
-void BankBuffer::free(Bytes bytes) {
-  AURORA_CHECK_MSG(bytes <= used_, "freeing more than allocated");
-  used_ -= bytes;
 }
 
 Cycle BankBuffer::access(Bytes bytes, bool is_write) {
@@ -29,26 +18,6 @@ Cycle BankBuffer::access(Bytes bytes, bool is_write) {
   }
   const Bytes per_cycle = kBankWidth * num_banks_;
   return (bytes + per_cycle - 1) / per_cycle;
-}
-
-ReuseFifo::ReuseFifo(std::uint32_t capacity_entries)
-    : capacity_(capacity_entries) {
-  AURORA_CHECK(capacity_entries > 0);
-}
-
-bool ReuseFifo::push(std::uint64_t tag, Bytes bytes) {
-  if (full()) return false;
-  entries_.push_back({tag, bytes});
-  peak_ = std::max<std::uint64_t>(peak_, entries_.size());
-  return true;
-}
-
-bool ReuseFifo::pop(std::uint64_t& tag, Bytes& bytes) {
-  if (entries_.empty()) return false;
-  tag = entries_.front().tag;
-  bytes = entries_.front().bytes;
-  entries_.pop_front();
-  return true;
 }
 
 }  // namespace aurora::pe

@@ -1,33 +1,28 @@
-// PE-local storage: the distributed bank buffer and the reuse FIFO
-// (paper Fig 5).
+// PE-local storage: the distributed bank buffer (paper Fig 5). The reuse
+// FIFO of Fig 5 is not modeled as its own structure: the cycle engine moves
+// neighbour features over the NoC and costs their buffering as bank-buffer
+// accesses.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "common/types.hpp"
-#include "energy/energy_model.hpp"
 
 namespace aurora::pe {
 
 /// The distributed bank buffer. Multi-banked so aggregation's random access
-/// pattern can sustain one access per bank per cycle; tracks occupancy and
-/// access bytes for the energy model.
+/// pattern can sustain one access per bank per cycle; counts access bytes
+/// for the energy model. Capacity is a tiling constraint (core::plan_layer
+/// sizes tiles against the whole distributed buffer), so the buffer itself
+/// models bandwidth only.
 class BankBuffer {
  public:
   BankBuffer(Bytes capacity, std::uint32_t num_banks);
-
-  /// Reserve space; returns false (no state change) when it would overflow.
-  [[nodiscard]] bool allocate(Bytes bytes);
-  void free(Bytes bytes);
 
   /// Record an access (read or write) of `bytes`; returns the cycles the
   /// access occupies, assuming perfect bank interleaving.
   Cycle access(Bytes bytes, bool is_write);
 
-  [[nodiscard]] Bytes capacity() const { return capacity_; }
-  [[nodiscard]] Bytes used() const { return used_; }
-  [[nodiscard]] Bytes free_bytes() const { return capacity_ - used_; }
   [[nodiscard]] Bytes bytes_read() const { return bytes_read_; }
   [[nodiscard]] Bytes bytes_written() const { return bytes_written_; }
 
@@ -35,37 +30,9 @@ class BankBuffer {
   static constexpr Bytes kBankWidth = 8;
 
  private:
-  Bytes capacity_;
   std::uint32_t num_banks_;
-  Bytes used_ = 0;
   Bytes bytes_read_ = 0;
   Bytes bytes_written_ = 0;
-};
-
-/// The reuse FIFO: a double buffer holding feature vectors received from
-/// neighboring PEs (vertex update) or updated edge features (aggregation),
-/// decoupling producer and consumer phases without a global buffer.
-class ReuseFifo {
- public:
-  explicit ReuseFifo(std::uint32_t capacity_entries);
-
-  [[nodiscard]] bool push(std::uint64_t tag, Bytes bytes);
-  /// Pop the oldest entry; returns false when empty.
-  [[nodiscard]] bool pop(std::uint64_t& tag, Bytes& bytes);
-
-  [[nodiscard]] bool full() const { return entries_.size() >= capacity_; }
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] std::uint64_t peak_occupancy() const { return peak_; }
-
- private:
-  struct Entry {
-    std::uint64_t tag;
-    Bytes bytes;
-  };
-  std::uint32_t capacity_;
-  std::deque<Entry> entries_;
-  std::uint64_t peak_ = 0;
 };
 
 }  // namespace aurora::pe

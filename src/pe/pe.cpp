@@ -3,7 +3,6 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "common/metrics_registry.hpp"
 #include "sim/invariants.hpp"
 
 namespace aurora::pe {
@@ -13,21 +12,18 @@ PeModel::PeModel(std::string name, const PeModelParams& params)
       params_(params),
       datapath_(params.datapath),
       ppu_(params.ppu),
-      buffer_(params.bank_buffer_bytes, params.bank_count),
-      fifo_(params.reuse_fifo_entries) {}
+      buffer_(params.bank_buffer_bytes, params.bank_count) {}
 
 void PeModel::submit(PeTask task) {
   AURORA_CHECK(task.op.length > 0 || task.op.kind == PeConfigKind::kBypass);
   queue_.push_back(std::move(task));
   ++stats_.tasks_submitted;
-  stats_.queue_depth.add(static_cast<double>(queue_.size()));
   wake();
 }
 
 void PeModel::reset() {
   datapath_ = PeDatapath(params_.datapath);
   buffer_ = BankBuffer(params_.bank_buffer_bytes, params_.bank_count);
-  fifo_ = ReuseFifo(params_.reuse_fifo_entries);
   queue_.clear();
   on_complete_ = nullptr;
   running_ = false;
@@ -127,17 +123,6 @@ void PeModel::export_counters(CounterSet& out) const {
   out.inc("pe.reconfig_cycles", stats_.reconfig_cycles);
   out.inc("pe.buffer_bytes_read", buffer_.bytes_read());
   out.inc("pe.buffer_bytes_written", buffer_.bytes_written());
-}
-
-void PeModel::register_metrics(MetricsRegistry& registry) {
-  AURORA_CHECK_MSG(!name().empty(),
-                   "per-PE metrics need a named PE (pooled PEs register "
-                   "through the engine's aggregate gauges)");
-  const auto s = registry.scope("pe." + name());
-  s.counter("tasks", &stats_.tasks_completed);
-  s.counter("busy_cycles", &stats_.busy_cycles);
-  s.gauge("queue_depth", [this] { return static_cast<double>(queue_.size()); });
-  s.histogram("queue_depth_hist", &stats_.queue_depth);
 }
 
 }  // namespace aurora::pe

@@ -34,9 +34,6 @@ struct PeStats {
   Cycle busy_cycles = 0;
   Cycle reconfig_cycles = 0;
   energy::EnergyEvents energy;
-  /// Queue depth observed at each submit (including the new task) — how
-  /// deep work piles up behind a busy PE.
-  Histogram queue_depth{kPeQueueDepthBucket, kPeQueueDepthBuckets};
 };
 
 struct PeModelParams {
@@ -44,7 +41,6 @@ struct PeModelParams {
   PpuParams ppu;
   Bytes bank_buffer_bytes = 100 * 1024;
   std::uint32_t bank_count = 8;
-  std::uint32_t reuse_fifo_entries = 16;
 };
 
 /// Timing model of one PE. Tasks run one at a time in FIFO order; the
@@ -61,7 +57,7 @@ class PeModel final : public sim::Component {
   }
 
   /// Return the PE to its just-constructed state (stats, queue, datapath
-  /// wiring, buffer/FIFO counters) so one pool of PEs can be reused across
+  /// wiring, buffer counters) so one pool of PEs can be reused across
   /// layer runs without per-run heap churn.
   void reset();
 
@@ -81,14 +77,9 @@ class PeModel final : public sim::Component {
   /// PEs by the caller).
   void export_counters(CounterSet& out) const;
 
-  /// Publish this PE's counters and queue-depth histogram under
-  /// "pe.<name>." (requires a non-empty component name; pool-level
-  /// aggregates are registered by the engine instead).
-  void register_metrics(MetricsRegistry& registry) override;
   [[nodiscard]] const PeModelParams& params() const { return params_; }
   [[nodiscard]] BankBuffer& bank_buffer() { return buffer_; }
   [[nodiscard]] const BankBuffer& bank_buffer() const { return buffer_; }
-  [[nodiscard]] ReuseFifo& reuse_fifo() { return fifo_; }
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
   /// Cycle cost of a task on this PE (static — used by the partitioner's
@@ -102,7 +93,6 @@ class PeModel final : public sim::Component {
   PeDatapath datapath_;
   Ppu ppu_;
   BankBuffer buffer_;
-  ReuseFifo fifo_;
   std::deque<PeTask> queue_;
   CompletionCallback on_complete_;
   bool running_ = false;

@@ -662,32 +662,6 @@ std::vector<WhatIfScenario> default_what_if_scenarios() {
           parse_what_if("reconfig_latency=0.5x")};
 }
 
-void register_critpath_metrics(MetricsRegistry& registry,
-                               const CritPathReport& report) {
-  const auto scope = registry.scope("profile.critpath");
-  const auto value = [](Cycle v) {
-    return MetricsRegistry::Probe(
-        [v] { return static_cast<double>(v); });
-  };
-  scope.counter("total_cycles", value(report.total_cycles));
-  scope.counter("runs", value(report.runs.size()));
-  scope.counter("pe_compute_cycles", value(report.attribution.pe_compute));
-  scope.counter("noc_serialization_cycles",
-                value(report.attribution.noc_serialization));
-  scope.counter("dram_service_cycles",
-                value(report.attribution.dram_service));
-  scope.counter("dram_hit_cycles", value(report.attribution.dram_hit));
-  scope.counter("dram_miss_cycles", value(report.attribution.dram_miss));
-  scope.counter("dram_conflict_cycles",
-                value(report.attribution.dram_conflict));
-  scope.counter("reconfiguration_cycles",
-                value(report.attribution.reconfiguration));
-  scope.counter("halo_barrier_wait_cycles",
-                value(report.attribution.halo_barrier_wait));
-  registry.add_counter("trace.dropped_records",
-                       value(report.dropped_records));
-}
-
 void export_critpath_counters(const CritPathReport& report,
                               CounterSet& counters) {
   counters.inc("profile.critpath.total_cycles", report.total_cycles);

@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics_registry.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "sim/trace.hpp"
@@ -145,14 +144,8 @@ struct AnalyzeOptions {
 [[nodiscard]] std::string format_attribution_table(
     const CritPathReport& report);
 
-/// Publish "profile.critpath.*" (and "trace.dropped_records") entries. The
-/// probes copy their values out of `report`, so the registry does not need
-/// the report to stay alive.
-void register_critpath_metrics(MetricsRegistry& registry,
-                               const CritPathReport& report);
-
-/// Merge the report into a CounterSet under the same "profile.critpath.*"
-/// names, so run reports and bench grids pick the attribution up for free.
+/// Merge the report into a CounterSet under "profile.critpath.*" names, so
+/// run reports and bench grids pick the attribution up for free.
 void export_critpath_counters(const CritPathReport& report,
                               CounterSet& counters);
 

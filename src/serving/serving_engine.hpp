@@ -149,7 +149,7 @@ struct ServingReport {
   [[nodiscard]] double queue_wait_percentile(double q) const;
   [[nodiscard]] double service_percentile(double q) const;
   /// The report's scalars as "serving.*" counters, for merging into a run's
-  /// CounterSet so --metrics-out and the registry surfaces carry them.
+  /// CounterSet so the --metrics-out report carries them.
   [[nodiscard]] CounterSet counters() const;
 };
 

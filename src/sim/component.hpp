@@ -13,16 +13,17 @@
 // straight to T instead of ticking through the dead cycles. The default
 // implementation returns `now` ("tick me every cycle"), so components that
 // do not opt in remain lockstep-correct unmodified.
+//
+// Statistics are not part of this interface. Each model reports its event
+// counts once, through its own export_counters() into RunMetrics::counters;
+// an engine that attaches a time-series Sampler (sim/sampler.hpp) points it
+// at the components it owns for that run.
 #pragma once
 
 #include <limits>
 #include <string>
 
 #include "common/types.hpp"
-
-namespace aurora {
-class MetricsRegistry;
-}
 
 namespace aurora::sim {
 
@@ -88,15 +89,6 @@ class Component {
   /// credits). Must be read-only. Default: checks nothing.
   virtual void verify_invariants(InvariantReport& report) const {
     (void)report;
-  }
-
-  /// Publish this component's counters/gauges/histograms into `registry`
-  /// (conventionally under a scope named after the component kind). The
-  /// registered probes point into live component state: they must not be
-  /// read after the component is destroyed, so registries are built per run
-  /// next to the components they observe. Default: publishes nothing.
-  virtual void register_metrics(MetricsRegistry& registry) {
-    (void)registry;
   }
 
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/metrics_registry.hpp"
 
 namespace aurora::sim {
 
@@ -24,12 +23,9 @@ void Sampler::watch(const std::string& name, Probe probe) {
   probes_.push_back(std::move(probe));
 }
 
-void Sampler::watch_registry(const MetricsRegistry& registry,
-                             const std::string& prefix) {
-  for (const auto* entry : registry.match(prefix)) {
-    if (entry->kind == MetricKind::kHistogram) continue;
-    watch(entry->name, entry->probe);
-  }
+void Sampler::watch(const std::string& name, const std::uint64_t* counter) {
+  AURORA_CHECK(counter != nullptr);
+  watch(name, [counter] { return static_cast<double>(*counter); });
 }
 
 void Sampler::detach() {

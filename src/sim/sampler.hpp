@@ -2,6 +2,9 @@
 // of metric probes every `interval` cycles, turning end-of-run aggregates
 // into time-resolved series (NoC occupancy over a run, DRAM traffic per
 // window, PE queue depths) without touching any component's hot path.
+// Nothing feeds it unless an engine attaches one: the cycle engine then
+// watches the NoC's and DRAM's counters and occupancy gauges (each model's
+// watch_series()) and three PE-pool aggregates, in name order.
 //
 // Fast-forward awareness: the sampler's next_event_cycle() names the next
 // sample boundary, so the scheduler's clock jumps land exactly on sample
@@ -17,6 +20,7 @@
 // not.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -42,11 +46,8 @@ class Sampler final : public Component {
   /// existing name rebinds its probe and keeps the recorded values (used
   /// when components are rebuilt between layer runs).
   void watch(const std::string& name, Probe probe);
-  /// Watch every counter and gauge in `registry` whose name starts with
-  /// `prefix` ("" = all). Histograms are skipped: a distribution has no
-  /// single value to plot per sample point.
-  void watch_registry(const MetricsRegistry& registry,
-                      const std::string& prefix = "");
+  /// Watch a counter held in a plain integer that outlives the probe.
+  void watch(const std::string& name, const std::uint64_t* counter);
   /// Drop all probes but keep the recorded series. Call when the observed
   /// components are about to be destroyed (probes point into them).
   void detach();

@@ -71,17 +71,22 @@ Cycle Simulator::run_until_idle(Cycle max_cycles) {
   // Capped well below the shortest interesting span (a DRAM CAS+ACT gap is
   // ~20 cycles) so throttling never swallows a whole jump opportunity.
   constexpr Cycle kMaxBackoff = 8;
-  while (!all_idle()) {
+  bool idle = all_idle();
+  while (!idle) {
     AURORA_CHECK_MSG(now_ < deadline,
                      "simulation exceeded " << max_cycles
                                             << " cycles without draining; "
                                                "likely deadlock");
     step();
-    if (!fast_forward_ || now_ < probe_at) continue;
-    // Once drained the run is over at exactly this cycle; jumping here would
-    // drag the clock to a scheduled-but-irrelevant event (e.g. an idle DRAM
-    // channel's next refresh deadline) that lockstep never reaches.
-    if (all_idle()) break;
+    // One idle check per step serves as both the loop condition and the
+    // probe guard: nothing below changes the answer, because
+    // earliest_event() retires only idle components and skip_cycles() may
+    // not touch behavioural state. Once drained the run is over at exactly
+    // this cycle; jumping here would drag the clock to a
+    // scheduled-but-irrelevant event (e.g. an idle DRAM channel's next
+    // refresh deadline) that lockstep never reaches.
+    idle = all_idle();
+    if (idle || !fast_forward_ || now_ < probe_at) continue;
 
     const Cycle next = earliest_event();
     if (next == kNoEvent || next <= now_) {

@@ -15,7 +15,6 @@
 #include "cluster/interchip.hpp"
 #include "cluster/shard.hpp"
 #include "common/error.hpp"
-#include "common/metrics_registry.hpp"
 #include "common/rng.hpp"
 #include "core/aurora.hpp"
 #include "core/report.hpp"
@@ -408,27 +407,6 @@ TEST(ClusterEngine, LockstepAndFastForwardClusterBitIdentical) {
   EXPECT_EQ(lockstep.link.stall_cycles, fastfwd.link.stall_cycles);
   EXPECT_EQ(lockstep.link.serialize_cycles, fastfwd.link.serialize_cycles);
   EXPECT_EQ(lockstep.counters.all(), fastfwd.counters.all());
-}
-
-TEST(ClusterEngine, RegistryExposesLinkAndPerChipProbes) {
-  const graph::Dataset ds = make_test_dataset(40, 90, 29);
-  const core::GnnJob job =
-      core::GnnJob::two_layer(gnn::GnnModel::kGcn, ds.spec, 8);
-  cluster::ClusterParams params;
-  params.num_chips = 2;
-  cluster::ClusterEngine engine(small_config(), params);
-  const cluster::ClusterRunMetrics out = engine.run(ds, job);
-
-  MetricsRegistry registry;
-  engine.register_metrics(registry);
-  EXPECT_EQ(registry.value("cluster.link.bytes_sent"),
-            static_cast<double>(out.link.bytes_sent));
-  EXPECT_EQ(registry.value("cluster.chip0.halo_bytes_sent"),
-            static_cast<double>(out.chips[0].halo_bytes_sent));
-  EXPECT_EQ(registry.value("cluster.chip1.halo_bytes_received"),
-            static_cast<double>(out.chips[1].halo_bytes_received));
-  ASSERT_NE(registry.find("cluster.link.latency"), nullptr);
-  EXPECT_FALSE(registry.match("cluster.").empty());
 }
 
 TEST(ClusterEngine, PerfettoTraceCarriesPerChipTracks) {

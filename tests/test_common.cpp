@@ -6,7 +6,6 @@
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
-#include "common/metrics_registry.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -234,55 +233,6 @@ TEST(Histogram, ResetClears) {
   EXPECT_EQ(h.total(), 0u);
   EXPECT_EQ(h.bucket_count(1), 0u);
   EXPECT_EQ(h.quantile(0.5), 0.0);
-}
-
-TEST(MetricsRegistry, CountersGaugesAndHistograms) {
-  MetricsRegistry reg;
-  std::uint64_t hits = 7;
-  double depth = 2.0;
-  Histogram lat(1.0, 8);
-  lat.add(3.0);
-  reg.add_counter("dram.hits", &hits);
-  reg.add_gauge("pe.depth", [&depth] { return depth; });
-  reg.add_histogram("noc.latency", &lat);
-
-  EXPECT_DOUBLE_EQ(reg.value("dram.hits"), 7.0);
-  hits = 9;  // probes are live views, not snapshots
-  EXPECT_DOUBLE_EQ(reg.value("dram.hits"), 9.0);
-  EXPECT_DOUBLE_EQ(reg.value("pe.depth"), 2.0);
-  ASSERT_NE(reg.find("noc.latency"), nullptr);
-  EXPECT_EQ(reg.find("noc.latency")->histogram->total(), 1u);
-  EXPECT_EQ(reg.find("missing"), nullptr);
-  EXPECT_THROW((void)reg.value("missing"), Error);
-  EXPECT_THROW((void)reg.value("noc.latency"), Error);  // not scalar
-}
-
-TEST(MetricsRegistry, RejectsDuplicatesAndEmptyNames) {
-  MetricsRegistry reg;
-  std::uint64_t c = 0;
-  reg.add_counter("a", &c);
-  EXPECT_THROW(reg.add_counter("a", &c), Error);
-  EXPECT_THROW(reg.add_gauge("", [] { return 0.0; }), Error);
-}
-
-TEST(MetricsRegistry, ScopePrefixesAndMatch) {
-  MetricsRegistry reg;
-  std::uint64_t a = 1, b = 2, other = 3;
-  {
-    const auto s = reg.scope("noc");
-    s.counter("packets", &a);
-    s.counter("flits", &b);
-  }
-  reg.add_counter("dram.bytes", &other);
-
-  EXPECT_DOUBLE_EQ(reg.value("noc.packets"), 1.0);
-  const auto noc = reg.match("noc.");
-  ASSERT_EQ(noc.size(), 2u);
-  // Sorted by name.
-  EXPECT_EQ(noc[0]->name, "noc.flits");
-  EXPECT_EQ(noc[1]->name, "noc.packets");
-  EXPECT_EQ(reg.match("").size(), 3u);
-  EXPECT_TRUE(reg.match("nope.").empty());
 }
 
 TEST(CounterSet, IncrementAndMerge) {

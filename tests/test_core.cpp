@@ -392,6 +392,34 @@ TEST(Observability, SamplerSeriesMatchAcrossSchedulerModes) {
   }
 }
 
+TEST(Observability, SampledSeriesNamesArePinned) {
+  // Every --trace-out file carries these series, in this order; a renamed,
+  // dropped or reordered series changes the artifact.
+  const std::vector<std::string> expected = {
+      "dram.bursts",          "dram.bursts_pending",
+      "dram.bytes_read",      "dram.bytes_written",
+      "dram.refreshes",       "dram.requests",
+      "dram.row_conflicts",   "dram.row_hits",
+      "dram.row_misses",      "noc.busy_cycles",
+      "noc.bypass_flit_hops", "noc.flit_hops",
+      "noc.flits_ejected",    "noc.flits_in_flight",
+      "noc.flits_injected",   "noc.packets_delivered",
+      "noc.packets_in_flight", "noc.packets_injected",
+      "noc.router_traversals", "pe.busy_cycles_total",
+      "pe.queue_depth_total", "pe.tasks_total"};
+  AuroraAccelerator accel(small_config());
+  sim::Sampler sampler(32);
+  accel.set_sampler(&sampler);
+  (void)accel.run_layer(small_dataset(), gnn::GnnModel::kGcn, {32, 8}, 1);
+  std::vector<std::string> names;
+  for (const auto& s : sampler.series()) names.push_back(s.name);
+  EXPECT_EQ(names, expected);
+  ASSERT_GT(sampler.num_samples(), 0u);
+  for (const auto& s : sampler.series()) {
+    EXPECT_EQ(s.values.size(), sampler.num_samples()) << s.name;
+  }
+}
+
 TEST(Observability, CyclePhaseAttributionSumsToTotals) {
   AuroraConfig cfg = small_config();
   const auto ds = small_dataset();

@@ -498,16 +498,6 @@ TEST(Network, StatsCountFlitHops) {
   EXPECT_EQ(h.net.stats().link_bytes, 9u * 32);
 }
 
-TEST(Network, DrainDeliveredPolling) {
-  NetHarness h;
-  h.net.send(0, 2, 64, 7, 0);
-  h.run();
-  auto out = h.net.drain_delivered();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].tag, 7u);
-  EXPECT_TRUE(h.net.drain_delivered().empty());
-}
-
 TEST(Network, DeterministicUnderFixedWorkload) {
   auto run_once = [] {
     NetHarness h;

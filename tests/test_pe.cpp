@@ -149,40 +149,12 @@ TEST(CostModel, EnergyEventCounts) {
 
 // ------------------------------------------------------------------ buffers
 
-TEST(BankBuffer, AllocationAndOverflow) {
-  BankBuffer b(1000, 4);
-  EXPECT_TRUE(b.allocate(600));
-  EXPECT_FALSE(b.allocate(500));  // would overflow; unchanged
-  EXPECT_EQ(b.used(), 600u);
-  EXPECT_TRUE(b.allocate(400));
-  EXPECT_EQ(b.free_bytes(), 0u);
-  b.free(1000);
-  EXPECT_EQ(b.used(), 0u);
-  EXPECT_THROW(b.free(1), Error);
-}
-
 TEST(BankBuffer, AccessCyclesAndAccounting) {
   BankBuffer b(1 << 20, 4);  // 4 banks x 8 B = 32 B per cycle
   EXPECT_EQ(b.access(64, false), 2u);
   EXPECT_EQ(b.access(65, true), 3u);
   EXPECT_EQ(b.bytes_read(), 64u);
   EXPECT_EQ(b.bytes_written(), 65u);
-}
-
-TEST(ReuseFifo, FifoOrderAndCapacity) {
-  ReuseFifo f(2);
-  EXPECT_TRUE(f.push(1, 10));
-  EXPECT_TRUE(f.push(2, 20));
-  EXPECT_TRUE(f.full());
-  EXPECT_FALSE(f.push(3, 30));
-  std::uint64_t tag = 0;
-  Bytes bytes = 0;
-  EXPECT_TRUE(f.pop(tag, bytes));
-  EXPECT_EQ(tag, 1u);
-  EXPECT_EQ(bytes, 10u);
-  EXPECT_TRUE(f.pop(tag, bytes));
-  EXPECT_FALSE(f.pop(tag, bytes));
-  EXPECT_EQ(f.peak_occupancy(), 2u);
 }
 
 // ---------------------------------------------------------------------- ppu

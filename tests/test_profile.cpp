@@ -10,7 +10,6 @@
 
 #include "cluster/cluster_engine.hpp"
 #include "common/error.hpp"
-#include "common/metrics_registry.hpp"
 #include "common/rng.hpp"
 #include "core/aurora.hpp"
 #include "graph/degree.hpp"
@@ -313,7 +312,7 @@ TEST(CritPath, EmptyTraceYieldsEmptyReport) {
 
 // ------------------------------------------------------ report surfaces
 
-TEST(CritPath, RegisterMetricsPublishesCritpathEntries) {
+TEST(CritPath, ExportCountersPublishesCritpathEntries) {
   const graph::Dataset ds = make_test_dataset(60, 150, 41);
   sim::Tracer tracer;
   tracer.enable();
@@ -321,21 +320,15 @@ TEST(CritPath, RegisterMetricsPublishesCritpathEntries) {
   const profile::CritPathReport report =
       profile::analyze_critical_path(tracer);
 
-  MetricsRegistry registry;
-  profile::register_critpath_metrics(registry, report);
-  EXPECT_EQ(registry.value("profile.critpath.total_cycles"),
-            static_cast<double>(report.total_cycles));
-  EXPECT_EQ(registry.value("profile.critpath.runs"), 1.0);
-  EXPECT_EQ(registry.value("profile.critpath.pe_compute_cycles"),
-            static_cast<double>(report.attribution.pe_compute));
-  EXPECT_EQ(registry.value("profile.critpath.dram_service_cycles"),
-            static_cast<double>(report.attribution.dram_service));
-  EXPECT_EQ(registry.value("trace.dropped_records"), 0.0);
-
   CounterSet counters;
   profile::export_critpath_counters(report, counters);
   EXPECT_EQ(counters.get("profile.critpath.total_cycles"),
             report.total_cycles);
+  EXPECT_EQ(counters.get("profile.critpath.runs"), 1u);
+  EXPECT_EQ(counters.get("profile.critpath.pe_compute_cycles"),
+            report.attribution.pe_compute);
+  EXPECT_EQ(counters.get("profile.critpath.dram_service_cycles"),
+            report.attribution.dram_service);
   EXPECT_EQ(counters.get("profile.critpath.halo_barrier_wait_cycles"),
             report.attribution.halo_barrier_wait);
 }

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/metrics_registry.hpp"
 #include "sim/perfetto.hpp"
 #include "sim/sampler.hpp"
 #include "sim/simulator.hpp"
@@ -369,23 +368,19 @@ TEST(Sampler, NeverProlongsTheRun) {
   EXPECT_EQ(s.run_until_idle(100), 5u);
 }
 
-TEST(Sampler, WatchRegistrySkipsHistogramsAndDetaches) {
-  MetricsRegistry reg;
+TEST(Sampler, DetachKeepsRecordedSeries) {
   std::uint64_t count = 3;
-  Histogram hist(1.0, 4);
-  reg.add_counter("noc.packets", &count);
-  reg.add_gauge("pe.depth", [] { return 2.5; });
-  reg.add_histogram("noc.latency", &hist);
-
   Sampler sampler(2);
-  sampler.watch_registry(reg);
-  ASSERT_EQ(sampler.series().size(), 2u);  // histogram skipped
+  sampler.watch("noc.packets", &count);
+  sampler.watch("pe.depth", [] { return 2.5; });
+  ASSERT_EQ(sampler.series().size(), 2u);
   sampler.tick(0);
   sampler.detach();  // probes dropped, data kept
   EXPECT_EQ(sampler.num_samples(), 1u);
   sampler.tick(2);  // detached probes sample as zero rather than dangle
   EXPECT_EQ(sampler.num_samples(), 2u);
-  EXPECT_EQ(sampler.series()[0].values.size(), 2u);
+  EXPECT_EQ(sampler.series()[0].values, (std::vector<double>{3.0, 0.0}));
+  EXPECT_EQ(sampler.series()[1].values, (std::vector<double>{2.5, 0.0}));
   EXPECT_THROW(Sampler(0), Error);
 }
 
